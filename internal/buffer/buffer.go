@@ -23,8 +23,6 @@ import (
 	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/debt"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/storage"
 	"smdb/internal/wal"
 )
@@ -76,9 +74,6 @@ type Manager struct {
 	dirty    map[storage.PageID]bool
 	updTable map[storage.PageID]map[machine.NodeID]wal.LSN
 	stats    Stats
-	obs      *obs.Observer
-	wf       *waterfall.Recorder
-	dbt      *debt.Tracker
 	// fetchHook, when non-nil, is called at every Fetch entry with no
 	// manager state held. The chaos schedule recorder uses it as a
 	// scheduling point: a fetch is where a crash-lost page is faulted back
@@ -95,44 +90,12 @@ func (b *Manager) SetFetchHook(f func(machine.NodeID, storage.PageID)) {
 	b.mu.Unlock()
 }
 
-// SetObserver attaches the observability layer; disk fetches, flushes, and
-// WAL-rule log forces are reported against the requesting node's clock.
-func (b *Manager) SetObserver(o *obs.Observer) {
-	b.mu.Lock()
-	b.obs = o
-	b.mu.Unlock()
-}
-
-// observer returns the attached observer (possibly nil).
-func (b *Manager) observer() *obs.Observer {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.obs
-}
-
-// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder;
-// disk-read waits during Fetch are attributed to the requesting node's
-// current transaction.
-func (b *Manager) SetWaterfall(w *waterfall.Recorder) {
-	b.mu.Lock()
-	b.wf = w
-	b.mu.Unlock()
-}
-
-// waterfall returns the attached recorder (possibly nil).
-func (b *Manager) waterfall() *waterfall.Recorder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.wf
-}
-
-// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker;
-// dirty-page transitions feed its redo-working-set accounting.
-func (b *Manager) SetDebt(d *debt.Tracker) {
-	b.mu.Lock()
-	b.dbt = d
-	b.mu.Unlock()
-}
+// hooks returns the machine's observer hook set, nil when nothing is
+// attached. Disk fetches, flushes, I/O retries, and WAL-rule log forces are
+// reported against the requesting node's clock; disk-read waits during
+// Fetch are attributed to that node's current transaction's waterfall; and
+// dirty-page transitions feed the debt tracker's redo working set.
+func (b *Manager) hooks() *obs.Hooks { return b.Store.M.Hooks().Load() }
 
 // NewManager creates a buffer manager over the given store, disk, and
 // per-node logs.
@@ -186,11 +149,10 @@ func (b *Manager) Fetch(nd machine.NodeID, p storage.PageID) error {
 	b.mu.Lock()
 	b.stats.DiskFetches++
 	b.mu.Unlock()
-	if o := b.observer(); o != nil {
-		o.Instant(obs.KindPageFetch, int32(nd), b.Store.M.Clock(nd), int64(p), 1)
-	}
-	if wf := b.waterfall(); wf != nil {
-		wf.NoteFetch(int32(nd), int(p), b.Store.M.Clock(nd), cost)
+	if hk := b.hooks(); hk != nil {
+		now := b.Store.M.Clock(nd)
+		hk.Obs.Instant(obs.KindPageFetch, int32(nd), now, int64(p), 1)
+		hk.Waterfall.NoteFetch(int32(nd), int(p), now, cost)
 	}
 	return b.Store.InstallImage(nd, p, img[:b.Store.Layout.PageBytes()], true)
 }
@@ -200,7 +162,9 @@ func (b *Manager) MarkDirty(p storage.PageID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.dirty[p] = true
-	b.dbt.NoteDirty(int64(p))
+	if hk := b.hooks(); hk != nil {
+		hk.Debt.NoteDirty(int64(p))
+	}
 }
 
 // Dirty reports whether page p is marked dirty.
@@ -269,7 +233,9 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 			b.mu.Lock()
 			b.stats.WALForces++
 			b.mu.Unlock()
-			b.observer().ObserveLogForce(cost)
+			if hk := b.hooks(); hk != nil {
+				hk.Obs.ObserveLogForce(cost)
+			}
 		}
 	}
 
@@ -293,15 +259,17 @@ func (b *Manager) FlushPage(nd machine.NodeID, p storage.PageID) error {
 	}
 	delete(b.dirty, p)
 	delete(b.updTable, p)
-	b.dbt.NoteClean(int64(p))
-	o := b.obs
+	hk := b.hooks()
+	if hk != nil {
+		hk.Debt.NoteClean(int64(p))
+	}
 	b.mu.Unlock()
-	if o != nil {
+	if hk != nil {
 		var stole int64
 		if steal {
 			stole = 1
 		}
-		o.Instant(obs.KindPageFlush, int32(nd), b.Store.M.Clock(nd), int64(p), stole)
+		hk.Obs.Instant(obs.KindPageFlush, int32(nd), b.Store.M.Clock(nd), int64(p), stole)
 	}
 	return nil
 }
@@ -320,8 +288,8 @@ func (b *Manager) noteRetry(nd machine.NodeID, p storage.PageID, attempt int, ba
 	b.mu.Lock()
 	b.stats.IORetries++
 	b.mu.Unlock()
-	if o := b.observer(); o != nil {
-		o.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
+	if hk := b.hooks(); hk != nil {
+		hk.Obs.Instant(obs.KindIORetry, int32(nd), b.Store.M.Clock(nd), int64(p), int64(attempt))
 	}
 }
 

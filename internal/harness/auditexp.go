@@ -90,17 +90,13 @@ func auditOverheadArm(proto recovery.Protocol, audited bool) (AuditOverheadPoint
 	}
 	var a *audit.Auditor
 	if audited {
-		// Both arms pay for the observer so the delta isolates the auditor.
-		o := obs.NewWithCapacity(8192)
-		db.AttachObserver(o)
 		a = audit.New(audit.Config{
 			Stable:   proto.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 			WindowNS: auditOverheadWindowNS,
 		})
-		db.AttachAudit(a)
-	} else {
-		db.AttachObserver(obs.NewWithCapacity(8192))
 	}
+	// Both arms pay for the observer so the delta isolates the auditor.
+	db.Attach(recovery.Observers{Obs: obs.NewWithCapacity(8192), Audit: a})
 
 	mgr := txn.NewManager(db)
 	start := time.Now()

@@ -74,7 +74,7 @@ func runWorkBalanceArm(proto recovery.Protocol, nodes, pages, workers, grain int
 	}
 	db.Cfg.RecoveryStealGrain = grain
 	pair := prof.NewPair(machine.StripeCount)
-	db.AttachProf(pair)
+	db.Attach(recovery.Observers{Prof: pair})
 	r := workload.NewRunner(db, workload.Spec{
 		TxnsPerNode: 12, OpsPerTxn: 8,
 		ReadFraction: 0.2, SharingFraction: 0.5, Seed: seed,

@@ -182,7 +182,7 @@ func RunLockRecovery(proto recovery.Protocol, locksPerNode int, seed int64, chai
 			mode = "chained"
 		}
 		o.BeginProcess(fmt.Sprintf("lock-recovery %v %s", proto, mode))
-		db.AttachObserver(o)
+		db.Attach(recovery.Observers{Obs: o})
 	}
 	mgr := txn.NewManager(db)
 	slots := db.Store.Layout.SlotsPerPage()

@@ -99,9 +99,8 @@ func RunDepCensus(seed int64) (*DepCensusResult, error) {
 			return nil, err
 		}
 		o := obs.NewWithCapacity(4096)
-		db.AttachObserver(o)
 		tr := deps.New(o)
-		db.AttachDeps(tr)
+		db.Attach(recovery.Observers{Obs: o, Deps: tr})
 
 		mgr := txn.NewManager(db)
 		for round := 0; round < 2; round++ {

@@ -48,7 +48,7 @@ func RunForces(sharing []float64, seed int64) (*ForcesResult, error) {
 				return nil, err
 			}
 			o := obs.New()
-			db.AttachObserver(o)
+			db.Attach(recovery.Observers{Obs: o})
 			forces0 := totalLogForces(db)
 			r := workload.NewRunner(db, workload.Spec{
 				TxnsPerNode: 6, OpsPerTxn: 10,

@@ -78,7 +78,7 @@ func runRecoveryProfileOnce(proto recovery.Protocol, nodes, pages, workers int, 
 		return RecoveryProfilePoint{}, err
 	}
 	pair := prof.NewPair(machine.StripeCount)
-	db.AttachProf(pair)
+	db.Attach(recovery.Observers{Prof: pair})
 	r := workload.NewRunner(db, workload.Spec{
 		TxnsPerNode: 12, OpsPerTxn: 8,
 		ReadFraction: 0.2, SharingFraction: 0.5, Seed: seed,

@@ -126,7 +126,7 @@ func recoveryDebtArm(proto recovery.Protocol) (RecoveryDebtPoint, error) {
 		return p, err
 	}
 	d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-	db.AttachDebt(d)
+	db.Attach(recovery.Observers{Debt: d})
 	mgr := txn.NewManager(db)
 
 	// Cycle 0: calibrate. The pre-crash snapshot is discarded — the tracker

@@ -62,7 +62,7 @@ func runRestartOnce(proto recovery.Protocol, backlog int, seed int64, o *obs.Obs
 	}
 	if o != nil {
 		o.BeginProcess(fmt.Sprintf("restart %v backlog=%d", proto, backlog))
-		db.AttachObserver(o)
+		db.Attach(recovery.Observers{Obs: o})
 	}
 	// Build the backlog: committed updates after the seed checkpoint,
 	// spread across the surviving nodes.

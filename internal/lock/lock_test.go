@@ -173,8 +173,8 @@ func TestCancelWait(t *testing.T) {
 	s.Acquire(0, t1, name, Exclusive)
 	s.Acquire(1, t2, name, Exclusive) // waits
 	s.Acquire(1, t3, name, Shared)    // waits behind t2
-	if err := s.CancelWait(1, t2, name); err != nil {
-		t.Fatal(err)
+	if held, err := s.CancelWait(1, t2, name); err != nil || held != 0 {
+		t.Fatalf("CancelWait = %v, %v; want no grant", held, err)
 	}
 	if err := s.Release(0, t1, name); err != nil {
 		t.Fatal(err)
@@ -183,8 +183,8 @@ func TestCancelWait(t *testing.T) {
 		t.Error("t3 not promoted after cancel + release")
 	}
 	// Cancel of a non-waiter is a no-op.
-	if err := s.CancelWait(1, t2, name); err != nil {
-		t.Fatal(err)
+	if held, err := s.CancelWait(1, t2, name); err != nil || held != 0 {
+		t.Fatalf("CancelWait of a non-waiter = %v, %v", held, err)
 	}
 }
 
@@ -455,8 +455,8 @@ func TestUpgradeRetryDoesNotDuplicateWaiter(t *testing.T) {
 		t.Fatalf("waiters = %+v, want exactly one upgrade entry", snap)
 	}
 	// t1 gives up (deadlock victim): cancel + release. No trace may remain.
-	if err := s.CancelWait(0, t1, name); err != nil {
-		t.Fatal(err)
+	if held, err := s.CancelWait(0, t1, name); err != nil || held != Shared {
+		t.Fatalf("CancelWait of an upgrade = %v, %v; want the S grant kept", held, err)
 	}
 	if err := s.Release(0, t1, name); err != nil {
 		t.Fatal(err)
@@ -468,6 +468,79 @@ func TestUpgradeRetryDoesNotDuplicateWaiter(t *testing.T) {
 	}
 	snap, _ = s.Snapshot(0)
 	if len(snap) != 0 {
+		t.Errorf("lock space not empty: %+v", snap)
+	}
+}
+
+// TestInPlaceUpgradeDropsQueuedWaiter pins the upgrade leak: a transaction
+// whose queued upgrade is later granted in place (it became the sole
+// holder) must not leave that queued entry behind, or promote grants the
+// lock to it again after it has finished.
+func TestInPlaceUpgradeDropsQueuedWaiter(t *testing.T) {
+	s, _, _ := newSM(t, 3, 64, LogNoLocks)
+	a, b, c := wal.MakeTxnID(0, 1), wal.MakeTxnID(1, 1), wal.MakeTxnID(2, 1)
+	name := NameOfKey(1)
+	acquire := func(nd machine.NodeID, tx wal.TxnID, m Mode, want bool) {
+		t.Helper()
+		if g, err := s.Acquire(nd, tx, name, m); err != nil || g != want {
+			t.Fatalf("Acquire(%v, %v) = %v, %v; want granted=%v", tx, m, g, err, want)
+		}
+	}
+	release := func(nd machine.NodeID, tx wal.TxnID) {
+		t.Helper()
+		if err := s.Release(nd, tx, name); err != nil {
+			t.Fatalf("Release(%v): %v", tx, err)
+		}
+	}
+	acquire(0, a, Shared, true)
+	acquire(1, b, Shared, true)
+	acquire(2, c, Exclusive, false) // C queues behind both readers
+	acquire(0, a, Exclusive, false) // A queues its upgrade
+	release(1, b)
+	acquire(0, a, Exclusive, true) // A is the sole holder: upgraded in place
+	release(0, a)                  // A finishes
+	acquire(2, c, Exclusive, true) // C was promoted
+	release(2, c)
+	snap, err := s.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range snap {
+		for _, h := range l.Holders {
+			if h.Txn == a {
+				t.Fatalf("finished txn %v holds %v: %+v", a, h.Mode, snap)
+			}
+		}
+	}
+	if len(snap) != 0 {
+		t.Errorf("lock space not empty: %+v", snap)
+	}
+}
+
+// TestCancelWaitReportsPromotedGrant pins the deadlock-victim leak: a
+// release can promote a queued request between the waiter's last probe and
+// its CancelWait. Nothing is queued any more, so the cancel must report the
+// grant; a caller that dropped it would finish still holding the lock, and
+// every later request for it would wait forever.
+func TestCancelWaitReportsPromotedGrant(t *testing.T) {
+	s, _, _ := newSM(t, 2, 64, LogNoLocks)
+	t1, t2 := wal.MakeTxnID(0, 1), wal.MakeTxnID(1, 1)
+	name := NameOfKey(3)
+	s.Acquire(0, t1, name, Exclusive)
+	if g, err := s.Acquire(1, t2, name, Exclusive); err != nil || g {
+		t.Fatalf("conflicting Acquire = %v, %v; want queued", g, err)
+	}
+	if err := s.Release(0, t1, name); err != nil { // promotes t2
+		t.Fatal(err)
+	}
+	held, err := s.CancelWait(1, t2, name)
+	if err != nil || held != Exclusive {
+		t.Fatalf("CancelWait after promotion = %v, %v; want the X grant reported", held, err)
+	}
+	if err := s.Release(1, t2, name); err != nil {
+		t.Fatal(err)
+	}
+	if snap, _ := s.Snapshot(0); len(snap) != 0 {
 		t.Errorf("lock space not empty: %+v", snap)
 	}
 }

@@ -127,22 +127,6 @@ type SMManager struct {
 	mu       sync.Mutex
 	stats    Stats
 	suppress bool
-	obs      *obs.Observer
-}
-
-// SetObserver attaches the observability layer; grants and queued waits are
-// reported as lock events timestamped with the requesting node's clock.
-func (s *SMManager) SetObserver(o *obs.Observer) {
-	s.mu.Lock()
-	s.obs = o
-	s.mu.Unlock()
-}
-
-// observer returns the attached observer (possibly nil).
-func (s *SMManager) observer() *obs.Observer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs
 }
 
 // SetLogSuppressed disables (true) or re-enables (false) logical lock
@@ -576,6 +560,15 @@ func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mo
 			// Upgrade request.
 			if len(b.holders) == 1 {
 				b.holders[i].Mode = mode
+				// Drop the upgrade request an earlier attempt queued: left
+				// behind, it would outlive the transaction and promote would
+				// later grant the lock to a finished owner.
+				for j, w := range b.waiters {
+					if w.Txn == txn {
+						b.waiters = append(b.waiters[:j], b.waiters[j+1:]...)
+						break
+					}
+				}
 				granted = true
 				return true, nil
 			}
@@ -618,12 +611,14 @@ func (s *SMManager) Acquire(nd machine.NodeID, txn wal.TxnID, name Name, mode Mo
 	} else {
 		s.bump(func(st *Stats) { st.Waits++ })
 	}
-	if o := s.observer(); o != nil {
+	// Grants and queued waits are reported to the machine's observer hook
+	// set, timestamped with the requesting node's clock.
+	if hk := s.M.Hooks().Load(); hk != nil && hk.Obs != nil {
 		k := obs.KindLockAcquire
 		if !granted {
 			k = obs.KindLockWait
 		}
-		o.Instant(k, int32(nd), s.M.Clock(nd), int64(name), int64(mode))
+		hk.Obs.Instant(k, int32(nd), s.M.Clock(nd), int64(name), int64(mode))
 	}
 	return granted, nil
 }
@@ -704,10 +699,13 @@ func (s *SMManager) Release(nd machine.NodeID, txn wal.TxnID, name Name) error {
 
 // CancelWait removes txn's queued request for name (used when a waiter
 // times out or its transaction aborts). It is a no-op if txn is not
-// waiting.
-func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) error {
-	canceled, wasHolder := false, false
-	var mode Mode
+// waiting. It returns the mode txn holds name in afterwards, 0 for none: a
+// request that a release promoted between the caller's last probe and the
+// cancel is no longer queued, so it stays granted and the caller must
+// record it for release.
+func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) (Mode, error) {
+	canceled := false
+	var mode, held Mode
 	err := s.withLCB(nd, name, false, func(_ int, b *lcb, ok bool) (bool, error) {
 		if !ok {
 			return false, nil
@@ -715,25 +713,28 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 		for i, w := range b.waiters {
 			if w.Txn == txn {
 				canceled, mode = true, w.Mode
-				for _, h := range b.holders {
-					if h.Txn == txn {
-						wasHolder = true // upgrade wait: the grant stays
-					}
-				}
 				b.waiters = append(b.waiters[:i], b.waiters[i+1:]...)
 				s.promote(b)
-				if len(b.holders) == 0 && len(b.waiters) == 0 {
-					*b = lcb{state: lcbTombstone}
-				}
-				return true, nil
+				break
 			}
 		}
-		return false, nil
+		for _, h := range b.holders {
+			if h.Txn == txn {
+				held = h.Mode // an upgrade wait keeps its prior grant
+			}
+		}
+		if !canceled {
+			return false, nil
+		}
+		if len(b.holders) == 0 && len(b.waiters) == 0 {
+			*b = lcb{state: lcbTombstone}
+		}
+		return true, nil
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if canceled && !wasHolder {
+	if canceled && held == 0 {
 		// A withdrawn request that was never granted is absent from the
 		// transaction's held-lock bookkeeping, so no release will ever
 		// follow; without a matching log record a post-crash lock replay
@@ -744,7 +745,7 @@ func (s *SMManager) CancelWait(nd machine.NodeID, txn wal.TxnID, name Name) erro
 		// release record would erase the held mode from the replay's view.
 		s.logLock(nd, wal.TypeLockRelease, txn, name, mode)
 	}
-	return nil
+	return held, nil
 }
 
 // promote moves waiters to holders while the head of the queue is

@@ -58,8 +58,8 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 	// time the wait ends the holder may have moved on, and the waterfall's
 	// convoy explanation wants who was *actually* in the way.
 	var holderTxn int64
-	if hk := m.hooks.Load(); hk.wf != nil && contended && ln.lock.owner != NoNode {
-		holderTxn = hk.wf.CurrentTxn(int32(ln.lock.owner))
+	if hk := m.observers.Load(); hk != nil && hk.Waterfall != nil && contended && ln.lock.owner != NoNode {
+		holderTxn = hk.Waterfall.CurrentTxn(int32(ln.lock.owner))
 	}
 	if contended {
 		atomic.AddInt64(&m.stats.LineLockContended, 1)
@@ -131,15 +131,15 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 	ln.lock.held = true
 	ln.lock.owner = nd
 	maxStoreInt64(&m.clocks[nd], start+cost)
-	if hk := m.hooks.Load(); hk.obs != nil || hk.wf != nil {
+	if hk := m.observers.Load(); hk != nil {
 		// Acquisition latency is the simulated interval from the caller
 		// issuing GetLine to holding the lock: queueing delay (chained
 		// through freeAt) plus the acquire cost itself.
 		lat := start + cost - entry
-		if hk.obs != nil {
-			hk.obs.ObserveLineLock(lat)
+		if hk.Obs != nil {
+			hk.Obs.ObserveLineLock(lat)
 			if contended {
-				hk.obs.Instant(obs.KindLineLockWait, int32(nd), start+cost, int64(l), lat)
+				hk.Obs.Instant(obs.KindLineLockWait, int32(nd), start+cost, int64(l), lat)
 			}
 		}
 		// The waterfall counts real waiting only: a contended acquisition,
@@ -147,11 +147,11 @@ func (m *Machine) getLineLocked(nd NodeID, l LineID) ([]NodeID, error) {
 		// uncontended acquire cost itself stays in the compute residue, and a
 		// trigger force charged by fire is already the DB layer's CauseLogForce
 		// segment — subtract it so the causes don't overlap.
-		if hk.wf != nil && (contended || start > entry) {
+		if hk.Waterfall != nil && (contended || start > entry) {
 			if holderTxn == 0 {
 				holderTxn = ln.lock.lastTxn
 			}
-			hk.wf.NoteLineWait(int32(nd), int(l), holderTxn, start+cost, lat-trig)
+			hk.Waterfall.NoteLineWait(int32(nd), int(l), holderTxn, start+cost, lat-trig)
 		}
 	}
 	return victims, nil
@@ -189,8 +189,8 @@ func (m *Machine) ReleaseLine(nd NodeID, l LineID) error {
 		return ErrNotLockHolder
 	}
 	m.charge(nd, m.cfg.Cost.LineLockRelease)
-	if hk := m.hooks.Load(); hk.wf != nil {
-		ln.lock.lastTxn = hk.wf.CurrentTxn(int32(nd))
+	if hk := m.observers.Load(); hk != nil && hk.Waterfall != nil {
+		ln.lock.lastTxn = hk.Waterfall.CurrentTxn(int32(nd))
 	}
 	ln.lock.held = false
 	ln.lock.owner = NoNode

@@ -57,8 +57,6 @@ import (
 	"sync/atomic"
 
 	"smdb/internal/obs"
-	"smdb/internal/obs/prof"
-	"smdb/internal/obs/waterfall"
 )
 
 // NodeID identifies a processor/memory pair. Nodes are numbered from 0.
@@ -279,9 +277,6 @@ type hookSet struct {
 	crashNotify     func(CrashReport)
 	installGate     InstallGateFunc
 	schedNote       SchedNoteFunc
-	obs             *obs.Observer
-	prof            *prof.StripeProf
-	wf              *waterfall.Recorder
 }
 
 // InstallGateFunc is consulted by Install with the line's stripe held,
@@ -337,6 +332,9 @@ type Machine struct {
 	// hooks is copy-on-write under hookMu; never nil.
 	hookMu sync.Mutex
 	hooks  atomic.Pointer[hookSet]
+	// observers is the observer hook set shared by every substrate built
+	// on this machine (see Hooks); nil while nothing is attached.
+	observers atomic.Pointer[obs.Hooks]
 }
 
 // New constructs a machine. It panics on an invalid configuration, since a
@@ -469,33 +467,26 @@ func (m *Machine) schedNote(nd NodeID, site string, l LineID) {
 	}
 }
 
-// SetObserver attaches (or, with nil, detaches) the observability layer.
-// Coherency transitions, line-lock latencies, trigger fires, and crashes are
-// reported to it. The observer must not call back into the Machine.
-func (m *Machine) SetObserver(o *obs.Observer) {
-	m.setHooks(func(hk *hookSet) { hk.obs = o })
-}
-
-// SetWaterfall attaches (or, with nil, detaches) the per-transaction latency
-// waterfall recorder. Line-lock waits (with the holding transaction, when
-// resolvable) are reported to it. The recorder must not call back into the
-// Machine.
-func (m *Machine) SetWaterfall(w *waterfall.Recorder) {
-	m.setHooks(func(hk *hookSet) { hk.wf = w })
-}
+// Hooks returns the observer hook set pointer shared by the machine and
+// every substrate built on it: the WALs, the buffer manager, and the lock
+// manager all read this one pointer, so storing a new immutable set
+// attaches (or, with nil, detaches) observers everywhere at once. The
+// machine reports coherency transitions, line-lock latencies and waits,
+// trigger fires, crashes, and stripe-lock contention to it.
+func (m *Machine) Hooks() *atomic.Pointer[obs.Hooks] { return &m.observers }
 
 // trace records an instant event at node nd's current simulated time. Safe
 // to call with or without stripe locks held.
 func (m *Machine) trace(k obs.Kind, nd NodeID, a, b int64) {
-	hk := m.hooks.Load()
-	if hk.obs == nil {
+	hk := m.observers.Load()
+	if hk == nil || hk.Obs == nil {
 		return
 	}
 	var sim int64
 	if nd >= 0 && int(nd) < len(m.clocks) {
 		sim = atomic.LoadInt64(&m.clocks[nd])
 	}
-	hk.obs.Instant(k, int32(nd), sim, a, b)
+	hk.Obs.Instant(k, int32(nd), sim, a, b)
 }
 
 // SetActive sets or clears the per-line "contains active data" bit

@@ -1,9 +1,9 @@
 package machine
 
 // Stripe-lock profiling. The contention profiler (internal/obs/prof) is
-// off by default: hookSet.prof is nil and every stripe acquisition costs
-// exactly one extra atomic hook load and one predictable branch over the
-// bare mutex — the nil-profiler guard benchmark in bench_test.go holds this
+// off by default: with no observer hook set (or one without Stripes) every
+// stripe acquisition costs exactly one extra atomic hook load and one
+// predictable branch over the bare mutex — the nil-profiler guard benchmark in bench_test.go holds this
 // path to zero allocations. With a profiler attached, every stripe
 // critical section is bracketed: TryLock distinguishes contended from
 // uncontended acquisitions (and times the blocking ones), unlockStripe
@@ -16,16 +16,18 @@ import "smdb/internal/obs/prof"
 // callers can size a prof.StripeProf to match (prof.NewPair(machine.StripeCount)).
 const StripeCount = stripeCount
 
-// SetProfiler attaches (or, with nil, detaches) the per-stripe lock
-// profiler. The profiler must be sized with at least StripeCount stripes;
-// it must not call back into the Machine.
-func (m *Machine) SetProfiler(p *prof.StripeProf) {
-	m.setHooks(func(hk *hookSet) { hk.prof = p })
+// stripeProf returns the attached stripe profiler, nil when profiling is
+// off. A profiler must be sized with at least StripeCount stripes.
+func (m *Machine) stripeProf() *prof.StripeProf {
+	if hk := m.observers.Load(); hk != nil {
+		return hk.Stripes
+	}
+	return nil
 }
 
 // lockStripe acquires s.mu, recording the acquisition when profiling.
 func (m *Machine) lockStripe(s *stripe) {
-	p := m.hooks.Load().prof
+	p := m.stripeProf()
 	if p == nil {
 		s.mu.Lock()
 		return
@@ -48,7 +50,7 @@ func (m *Machine) lockStripe(s *stripe) {
 // opened with a profiler attached.
 func (m *Machine) unlockStripe(s *stripe) {
 	if s.holdStart != 0 {
-		if p := m.hooks.Load().prof; p != nil {
+		if p := m.stripeProf(); p != nil {
 			p.LockHeld(int(s.idx), prof.Now()-s.holdStart)
 		}
 		s.holdStart = 0
@@ -61,7 +63,7 @@ func (m *Machine) unlockStripe(s *stripe) {
 // parked) and reopened on wakeup, and the sleep itself is charged to the
 // stripe's condvar counters.
 func (m *Machine) condWait(s *stripe) {
-	p := m.hooks.Load().prof
+	p := m.stripeProf()
 	if p == nil {
 		s.cond.Wait()
 		return
@@ -81,7 +83,7 @@ func (m *Machine) condWait(s *stripe) {
 // broadcast wakes s's waiters, counting the wakeup when profiling.
 func (m *Machine) broadcast(s *stripe) {
 	s.cond.Broadcast()
-	if p := m.hooks.Load().prof; p != nil {
+	if p := m.stripeProf(); p != nil {
 		p.Wakeup(int(s.idx))
 	}
 }

@@ -10,6 +10,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"smdb/internal/obs/debt"
+	"smdb/internal/obs/prof"
+	"smdb/internal/obs/waterfall"
 )
 
 // The crash flight recorder: on any node crash or IFA-check failure the
@@ -18,57 +22,35 @@ import (
 // timestamped directory, so a failed chaos run leaves enough evidence to
 // reconstruct the failure without re-running it.
 
-// GraphWriter renders a dependency graph (deps.Tracker satisfies it; the
-// interface lives here so obs does not import its own subpackage).
+// GraphWriter renders a dependency graph (deps.Tracker satisfies it; an
+// interface because deps imports obs).
 type GraphWriter interface {
 	WriteDOT(io.Writer) error
 	WriteGraphJSON(io.Writer) error
 }
 
 // AuditSource renders the online auditor's three surfaces (audit.Auditor
-// satisfies it; like GraphWriter, the interface lives here so obs does not
-// import its own subpackage). WriteAuditTxn with an empty id writes the
-// full trail listing.
+// satisfies it; an interface because audit imports obs). WriteAuditTxn with
+// an empty id writes the full trail listing.
 type AuditSource interface {
 	WriteAuditTxn(w io.Writer, id string) error
 	WriteAuditViolations(w io.Writer) error
 	WriteTimeSeries(w io.Writer) error
 }
 
-// ProfSource renders the contention & cost-attribution profiler's surfaces
-// (prof.Pair satisfies it; like GraphWriter, the interface lives here so
-// obs does not import its own subpackage). WriteProfJSON is the combined
-// document the flight recorder stores as prof.json; WriteProfProm appends
-// Prometheus lines to /metrics.
-type ProfSource interface {
-	WriteProfStripes(w io.Writer) error
-	WriteProfWorkers(w io.Writer) error
-	WriteProfJSON(w io.Writer) error
-	WriteProfProm(w io.Writer) error
-}
-
-// WaterfallSource renders the per-transaction latency waterfall surfaces
-// (waterfall.Recorder satisfies it; like GraphWriter, the interface lives
-// here so obs does not import its own subpackage). WriteWaterfallJSON is the
-// combined document the flight recorder stores as waterfall.json;
-// WriteWaterfallProm appends Prometheus lines to /metrics.
-type WaterfallSource interface {
-	WriteSlowJSON(w io.Writer, max int) error
-	WriteTxnJSON(w io.Writer, txn int64) error
-	WriteWaterfallChrome(w io.Writer) error
-	WriteWaterfallProm(w io.Writer) error
-	WriteWaterfallJSON(w io.Writer) error
-	WriteRecoveryProgress(w io.Writer) error
-}
-
-// DebtSource renders the recovery-debt tracker's surfaces (debt.Tracker
-// satisfies it; like GraphWriter, the interface lives here so obs does not
-// import its own subpackage). WriteDebtJSON is the combined document the
-// flight recorder stores as debt.json and the /recovery/debt endpoint
-// serves; WriteDebtProm appends Prometheus lines to /metrics.
-type DebtSource interface {
-	WriteDebtJSON(w io.Writer) error
-	WriteDebtProm(w io.Writer) error
+// Sources is what the HTTP server and the flight recorder render: the
+// observer plus the surfaces of one attached observer set. Any field may be
+// nil; a nil surface degrades to {"enabled": false} on HTTP and is left out
+// of flight dumps. Stats, when set, writes a dump's stats.txt (typically
+// the engine counters as deltas since the previous dump).
+type Sources struct {
+	Obs       *Observer
+	Graph     GraphWriter
+	Audit     AuditSource
+	Prof      *prof.Pair
+	Waterfall *waterfall.Recorder
+	Debt      *debt.Tracker
+	Stats     func(io.Writer) error
 }
 
 // DefaultFlightEvents is the per-node event tail retained in a dump.
@@ -92,13 +74,7 @@ type FlightRecorder struct {
 	maxBytes int64
 	rotate   bool
 	bytes    int64
-	obs      *Observer
-	graph    GraphWriter
-	audit    AuditSource
-	prof     ProfSource
-	wfall    WaterfallSource
-	debt     DebtSource
-	stats    func(io.Writer) error
+	src      Sources
 	aux      map[string]func(io.Writer) error
 	dumps    []string
 	sizes    []int64
@@ -114,28 +90,17 @@ func NewFlightRecorder(dir string, lastN int) *FlightRecorder {
 	return &FlightRecorder{dir: dir, lastN: lastN, maxDumps: maxDumps}
 }
 
-// SetSources wires the recorder's data sources: the observer whose event
-// rings are tailed, an optional dependency-graph renderer, an optional
-// audit source (the online auditor's violations, trails, and time series
-// join every dump), an optional profiler source (the contention profiler's
-// combined document joins as prof.json), an optional waterfall source (the
-// tail-sampled slow-transaction traces and recovery progress join as
-// waterfall.json), an optional recovery-debt source (the live debt
-// accounting joins as debt.json), and an optional stats writer (called once
-// per dump; implementations typically print deltas since the previous
-// dump). Any may be nil.
-func (r *FlightRecorder) SetSources(o *Observer, g GraphWriter, a AuditSource, p ProfSource, wf WaterfallSource, dbt DebtSource, stats func(io.Writer) error) {
+// SetSources replaces the recorder's data sources: the observer whose
+// event rings are tailed and every attached surface, each of which joins
+// later dumps as its own file (deps.dot/json, violations.json +
+// audit_trails.json + timeseries.json, prof.json, waterfall.json,
+// debt.json, stats.txt).
+func (r *FlightRecorder) SetSources(src Sources) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.obs = o
-	r.graph = g
-	r.audit = a
-	r.prof = p
-	r.wfall = wf
-	r.debt = dbt
-	r.stats = stats
+	r.src = src
 	r.mu.Unlock()
 }
 
@@ -252,7 +217,7 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 	// Group the observer's retained events by node and keep each tail.
 	byNode := map[int32][]Event{}
 	var nodes []int32
-	for _, e := range r.obs.Events() {
+	for _, e := range r.src.Obs.Events() {
 		if _, ok := byNode[e.Node]; !ok {
 			nodes = append(nodes, e.Node)
 		}
@@ -271,43 +236,30 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		}
 	}
 
-	// Aux files are written (and listed) in sorted-name order.
+	// The surface files, then the aux files in sorted-name order, are
+	// listed in the MANIFEST and written after the event tails.
+	files := r.src.files()
 	auxNames := make([]string, 0, len(r.aux))
 	for name := range r.aux {
 		auxNames = append(auxNames, name)
 	}
 	sort.Strings(auxNames)
+	for _, name := range auxNames {
+		files = append(files, dumpFile{name, r.aux[name]})
+	}
 
 	var written int64
 	if err := r.writeFile(dir, "MANIFEST.txt", &written, func(w io.Writer) error {
 		fmt.Fprintf(w, "reason: %s\nwall: %s\nevents-per-node: %d\nskipped-dumps: %d\nrotated-dumps: %d\n",
 			reason, time.Now().UTC().Format(time.RFC3339Nano), r.lastN, r.skipped, r.rotated)
 		fmt.Fprintf(w, "files: MANIFEST.txt events.json events.txt")
-		if r.graph != nil {
-			fmt.Fprintf(w, " deps.dot deps.json")
-		}
-		if r.audit != nil {
-			fmt.Fprintf(w, " violations.json audit_trails.json timeseries.json")
-		}
-		if r.prof != nil {
-			fmt.Fprintf(w, " prof.json")
-		}
-		if r.wfall != nil {
-			fmt.Fprintf(w, " waterfall.json")
-		}
-		if r.debt != nil {
-			fmt.Fprintf(w, " debt.json")
-		}
-		if r.stats != nil {
-			fmt.Fprintf(w, " stats.txt")
-		}
-		for _, name := range auxNames {
-			fmt.Fprintf(w, " %s", name)
+		for _, f := range files {
+			fmt.Fprintf(w, " %s", f.name)
 		}
 		fmt.Fprintln(w)
-		if r.obs != nil {
+		if r.src.Obs != nil {
 			fmt.Fprintln(w)
-			return r.obs.MetricsTable(w)
+			return r.src.Obs.MetricsTable(w)
 		}
 		return nil
 	}); err != nil {
@@ -361,49 +313,8 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 		return "", err
 	}
 
-	if r.graph != nil {
-		if err := r.writeFile(dir, "deps.dot", &written, r.graph.WriteDOT); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "deps.json", &written, r.graph.WriteGraphJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.audit != nil {
-		if err := r.writeFile(dir, "violations.json", &written, r.audit.WriteAuditViolations); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "audit_trails.json", &written, func(w io.Writer) error {
-			return r.audit.WriteAuditTxn(w, "")
-		}); err != nil {
-			return "", err
-		}
-		if err := r.writeFile(dir, "timeseries.json", &written, r.audit.WriteTimeSeries); err != nil {
-			return "", err
-		}
-	}
-	if r.prof != nil {
-		if err := r.writeFile(dir, "prof.json", &written, r.prof.WriteProfJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.wfall != nil {
-		if err := r.writeFile(dir, "waterfall.json", &written, r.wfall.WriteWaterfallJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.debt != nil {
-		if err := r.writeFile(dir, "debt.json", &written, r.debt.WriteDebtJSON); err != nil {
-			return "", err
-		}
-	}
-	if r.stats != nil {
-		if err := r.writeFile(dir, "stats.txt", &written, r.stats); err != nil {
-			return "", err
-		}
-	}
-	for _, name := range auxNames {
-		if err := r.writeFile(dir, name, &written, r.aux[name]); err != nil {
+	for _, f := range files {
+		if err := r.writeFile(dir, f.name, &written, f.write); err != nil {
 			return "", err
 		}
 	}
@@ -418,6 +329,40 @@ func (r *FlightRecorder) Dump(reason string) (string, error) {
 	r.dumps = append(r.dumps, dir)
 	r.sizes = append(r.sizes, written)
 	return dir, nil
+}
+
+// dumpFile is one file of a dump beyond the event tails.
+type dumpFile struct {
+	name  string
+	write func(io.Writer) error
+}
+
+// files lists the dump files the attached surfaces provide, in MANIFEST
+// order.
+func (s Sources) files() []dumpFile {
+	var fs []dumpFile
+	if g := s.Graph; g != nil {
+		fs = append(fs, dumpFile{"deps.dot", g.WriteDOT}, dumpFile{"deps.json", g.WriteGraphJSON})
+	}
+	if a := s.Audit; a != nil {
+		fs = append(fs,
+			dumpFile{"violations.json", a.WriteAuditViolations},
+			dumpFile{"audit_trails.json", func(w io.Writer) error { return a.WriteAuditTxn(w, "") }},
+			dumpFile{"timeseries.json", a.WriteTimeSeries})
+	}
+	if s.Prof != nil {
+		fs = append(fs, dumpFile{"prof.json", s.Prof.WriteProfJSON})
+	}
+	if s.Waterfall != nil {
+		fs = append(fs, dumpFile{"waterfall.json", s.Waterfall.WriteWaterfallJSON})
+	}
+	if s.Debt != nil {
+		fs = append(fs, dumpFile{"debt.json", s.Debt.WriteDebtJSON})
+	}
+	if s.Stats != nil {
+		fs = append(fs, dumpFile{"stats.txt", s.Stats})
+	}
+	return fs
 }
 
 // countWriter tallies bytes for the recorder's byte budget.

@@ -50,7 +50,7 @@ func (m *indexMux) handle(pattern, display string, h http.HandlerFunc) {
 // Endpoints returns every introspection path the HTTP handler registers, in
 // sorted order — the source of truth the index handler and its test share.
 func Endpoints() []string {
-	m := newHTTPMux(nil, nil, nil, nil, nil, nil)
+	m := newHTTPMux(func() Sources { return Sources{} })
 	out := make([]string, 0, len(m.endpoints))
 	for _, e := range m.endpoints {
 		out = append(out, e.pattern)
@@ -62,8 +62,8 @@ func Endpoints() []string {
 // NewHTTPHandler builds the introspection mux:
 //
 //	/healthz            liveness ("ok events=N uptime=...")
-//	/metrics            Prometheus text exposition (waterfall counters join
-//	                    when a recorder is attached)
+//	/metrics            Prometheus text exposition (profiler, waterfall, and
+//	                    debt lines join when those surfaces are attached)
 //	/trace              Chrome trace-event JSON snapshot (Perfetto-loadable)
 //	/deps               dependency graph, DOT (default) or ?format=json
 //	/audit/txn/{id}     one transaction's audit trail ("t0.3" or the packed
@@ -81,17 +81,39 @@ func Endpoints() []string {
 //	                    MTTR history, estimated replay time)
 //	/debug/pprof/       the standard Go profiler endpoints
 //
-// o may be nil (endpoints degrade to empty documents), graph may be nil
-// (/deps explains that no tracker is attached), and aud/prf/wf/dbt may be
-// nil (their endpoints report {"enabled": false}).
-func NewHTTPHandler(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) http.Handler {
-	return newHTTPMux(o, graph, aud, prf, wf, dbt).mux
+// src is called once per request, so a host that swaps observer sets (one
+// per database in a sweep) always serves the current ones. Every surface
+// may be nil: /deps then explains that no tracker is attached and the JSON
+// endpoints report {"enabled": false}.
+func NewHTTPHandler(src func() Sources) http.Handler {
+	return newHTTPMux(src).mux
 }
 
-func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) *indexMux {
+func newHTTPMux(src func() Sources) *indexMux {
 	start := time.Now()
 	m := &indexMux{mux: http.NewServeMux()}
+	// doc registers a JSON endpoint rendered from the current sources.
+	doc := func(pattern, display string, write func(s Sources, r *http.Request, w io.Writer) error) {
+		m.handle(pattern, display, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if err := write(src(), r, w); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		})
+	}
+	// auditDoc registers an auditor endpoint: a nil AuditSource interface
+	// cannot degrade by itself the way the concrete nil-safe surfaces do.
+	auditDoc := func(pattern, display string, write func(a AuditSource, r *http.Request, w io.Writer) error) {
+		doc(pattern, display, func(s Sources, r *http.Request, w io.Writer) error {
+			if s.Audit == nil {
+				_, err := io.WriteString(w, disabledJSON)
+				return err
+			}
+			return write(s.Audit, r, w)
+		})
+	}
 	m.handle("/healthz", "", func(w http.ResponseWriter, _ *http.Request) {
+		o := src().Obs
 		var events int64
 		for k := Kind(0); k < numKinds; k++ {
 			events += o.Count(k)
@@ -100,36 +122,25 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 		fmt.Fprintf(w, "ok events=%d uptime=%s\n", events, time.Since(start).Round(time.Millisecond))
 	})
 	m.handle("/metrics", "", func(w http.ResponseWriter, _ *http.Request) {
+		s := src()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := o.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if prf != nil {
-			if err := prf.WriteProfProm(w); err != nil {
+		for _, write := range []func(io.Writer) error{
+			s.Obs.WritePrometheus, s.Prof.WriteProfProm, s.Waterfall.WriteProm, s.Debt.WriteDebtProm,
+		} {
+			if err := write(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
-			}
-		}
-		if wf != nil {
-			if err := wf.WriteWaterfallProm(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		if dbt != nil {
-			if err := dbt.WriteDebtProm(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}
 	})
 	m.handle("/trace", "", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := o.WriteChromeTrace(w); err != nil {
+		if err := src().Obs.WriteChromeTrace(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 	m.handle("/deps", "/deps[?format=json]", func(w http.ResponseWriter, r *http.Request) {
+		graph := src().Graph
 		if graph == nil {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintln(w, "digraph recovery_deps {\n  // no dependency tracker attached\n}")
@@ -147,63 +158,34 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	auditJSON := func(w http.ResponseWriter, write func(io.Writer) error) {
-		w.Header().Set("Content-Type", "application/json")
-		if aud == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := write(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	auditTxn := func(w http.ResponseWriter, id string) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteAuditTxn(out, id) })
-	}
-	m.handle("/audit/txn", "", func(w http.ResponseWriter, _ *http.Request) {
-		auditTxn(w, "")
+	auditDoc("/audit/txn", "", func(a AuditSource, _ *http.Request, w io.Writer) error {
+		return a.WriteAuditTxn(w, "")
 	})
-	m.handle("/audit/txn/", "/audit/txn/{id}", func(w http.ResponseWriter, r *http.Request) {
-		auditTxn(w, strings.TrimPrefix(r.URL.Path, "/audit/txn/"))
+	auditDoc("/audit/txn/", "/audit/txn/{id}", func(a AuditSource, r *http.Request, w io.Writer) error {
+		return a.WriteAuditTxn(w, strings.TrimPrefix(r.URL.Path, "/audit/txn/"))
 	})
-	m.handle("/audit/violations", "", func(w http.ResponseWriter, _ *http.Request) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteAuditViolations(out) })
+	auditDoc("/audit/violations", "", func(a AuditSource, _ *http.Request, w io.Writer) error {
+		return a.WriteAuditViolations(w)
 	})
-	m.handle("/timeseries", "", func(w http.ResponseWriter, _ *http.Request) {
-		auditJSON(w, func(out io.Writer) error { return aud.WriteTimeSeries(out) })
+	auditDoc("/timeseries", "", func(a AuditSource, _ *http.Request, w io.Writer) error {
+		return a.WriteTimeSeries(w)
 	})
-	profJSON := func(w http.ResponseWriter, write func(io.Writer) error) {
-		w.Header().Set("Content-Type", "application/json")
-		if prf == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := write(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	m.handle("/prof/stripes", "", func(w http.ResponseWriter, _ *http.Request) {
-		profJSON(w, func(out io.Writer) error { return prf.WriteProfStripes(out) })
+	doc("/prof/stripes", "", func(s Sources, _ *http.Request, w io.Writer) error {
+		return s.Prof.WriteProfStripes(w)
 	})
-	m.handle("/prof/workers", "", func(w http.ResponseWriter, _ *http.Request) {
-		profJSON(w, func(out io.Writer) error { return prf.WriteProfWorkers(out) })
+	doc("/prof/workers", "", func(s Sources, _ *http.Request, w io.Writer) error {
+		return s.Prof.WriteProfWorkers(w)
 	})
-	wfJSON := func(w http.ResponseWriter, ct string, write func(io.Writer) error) {
-		w.Header().Set("Content-Type", ct)
-		if wf == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := write(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	m.handle("/slow", "/slow[?max=N]", func(w http.ResponseWriter, r *http.Request) {
+	doc("/slow", "/slow[?max=N]", func(s Sources, r *http.Request, w io.Writer) error {
 		max, _ := strconv.Atoi(r.URL.Query().Get("max"))
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteSlowJSON(out, max) })
+		return s.Waterfall.WriteSlowJSON(w, max)
 	})
-	m.handle("/slow/trace", "", func(w http.ResponseWriter, _ *http.Request) {
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteWaterfallChrome(out) })
+	doc("/slow/trace", "", func(s Sources, _ *http.Request, w io.Writer) error {
+		if s.Waterfall == nil { // the nil recorder renders an empty trace
+			_, err := io.WriteString(w, disabledJSON)
+			return err
+		}
+		return s.Waterfall.WriteChromeTrace(w)
 	})
 	m.handle("/slow/", "/slow/{txnid}", func(w http.ResponseWriter, r *http.Request) {
 		id, ok := parseTxnID(strings.TrimPrefix(r.URL.Path, "/slow/"))
@@ -211,20 +193,16 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 			http.Error(w, "bad txn id (want t<node>.<seq> or the packed integer)", http.StatusBadRequest)
 			return
 		}
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteTxnJSON(out, id) })
-	})
-	m.handle("/recovery/progress", "", func(w http.ResponseWriter, _ *http.Request) {
-		wfJSON(w, "application/json", func(out io.Writer) error { return wf.WriteRecoveryProgress(out) })
-	})
-	m.handle("/recovery/debt", "", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if dbt == nil {
-			fmt.Fprintln(w, `{"enabled": false}`)
-			return
-		}
-		if err := dbt.WriteDebtJSON(w); err != nil {
+		if err := src().Waterfall.WriteTxnJSON(w, id); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
+	})
+	doc("/recovery/progress", "", func(s Sources, _ *http.Request, w io.Writer) error {
+		return s.Waterfall.Progress().WriteJSON(w)
+	})
+	doc("/recovery/debt", "", func(s Sources, _ *http.Request, w io.Writer) error {
+		return s.Debt.WriteDebtJSON(w)
 	})
 	m.handle("/debug/pprof/", "", pprof.Index)
 	m.handle("/debug/pprof/cmdline", "", pprof.Cmdline)
@@ -251,6 +229,9 @@ func newHTTPMux(o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource,
 	})
 	return m
 }
+
+// disabledJSON is the document every detached surface serves.
+const disabledJSON = "{\"enabled\": false}\n"
 
 // parseTxnID accepts "t<node>.<seq>" (the engine's display form) or the
 // packed integer transaction id.
@@ -284,15 +265,16 @@ type HTTPServer struct {
 
 // ServeHTTP starts the introspection server on addr (e.g. "127.0.0.1:8321"
 // or "127.0.0.1:0") in a background goroutine and returns once the listener
-// is bound. Close with Shutdown.
-func ServeHTTP(addr string, o *Observer, graph GraphWriter, aud AuditSource, prf ProfSource, wf WaterfallSource, dbt DebtSource) (*HTTPServer, error) {
+// is bound. src is consulted per request (see NewHTTPHandler). Close with
+// Shutdown.
+func ServeHTTP(addr string, src func() Sources) (*HTTPServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &HTTPServer{
 		Addr: lis.Addr().String(),
-		srv:  &http.Server{Handler: NewHTTPHandler(o, graph, aud, prf, wf, dbt)},
+		srv:  &http.Server{Handler: NewHTTPHandler(src)},
 		lis:  lis,
 	}
 	go func() { _ = s.srv.Serve(lis) }()

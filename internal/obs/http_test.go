@@ -1,13 +1,20 @@
 package obs
 
 import (
-	"fmt"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"smdb/internal/obs/debt"
+	"smdb/internal/obs/prof"
+	"smdb/internal/obs/waterfall"
 )
+
+// static serves one fixed source set.
+func static(s Sources) func() Sources { return func() Sources { return s } }
 
 func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 	t.Helper()
@@ -20,7 +27,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, string) {
 }
 
 func TestHTTPHandlerEndpoints(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), stubGraph{}, stubAudit{}, stubProf{}, nil, nil)
+	h := NewHTTPHandler(static(Sources{Obs: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{}, Prof: prof.NewPair(8)}))
 
 	code, body, _ := get(t, h, "/healthz")
 	if code != 200 || !strings.HasPrefix(body, "ok events=") {
@@ -95,7 +102,7 @@ func TestHTTPHandlerEndpoints(t *testing.T) {
 }
 
 func TestHTTPHandlerNilSources(t *testing.T) {
-	h := NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h := NewHTTPHandler(static(Sources{}))
 	code, body, _ := get(t, h, "/deps")
 	if code != 200 || !strings.Contains(body, "no dependency tracker attached") {
 		t.Errorf("/deps with nil graph = %d %q", code, body)
@@ -117,7 +124,7 @@ func TestHTTPHandlerNilSources(t *testing.T) {
 }
 
 func TestServeHTTPLive(t *testing.T) {
-	s, err := ServeHTTP("127.0.0.1:0", goldenObserver(), nil, nil, nil, nil, nil)
+	s, err := ServeHTTP("127.0.0.1:0", static(Sources{Obs: goldenObserver()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,53 +149,31 @@ func min(a, b int) int {
 	return b
 }
 
-// stubWf is a WaterfallSource standing in for the waterfall recorder (same
-// import constraint as stubGraph: obs cannot import its own subpackage).
-type stubWf struct{}
-
-func (stubWf) WriteSlowJSON(w io.Writer, max int) error {
-	_, err := fmt.Fprintf(w, "{\"enabled\":true,\"slow\":[],\"max\":%d}\n", max)
-	return err
-}
-func (stubWf) WriteTxnJSON(w io.Writer, txn int64) error {
-	_, err := fmt.Fprintf(w, "{\"enabled\":true,\"txn\":%d}\n", txn)
-	return err
-}
-func (stubWf) WriteWaterfallChrome(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"traceEvents\":[]}\n")
-	return err
-}
-func (stubWf) WriteWaterfallProm(w io.Writer) error {
-	_, err := io.WriteString(w, "# TYPE smdb_txn_wait_ns counter\nsmdb_txn_wait_ns{cause=\"compute\"} 0\n")
-	return err
-}
-func (stubWf) WriteWaterfallJSON(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true}\n")
-	return err
-}
-func (stubWf) WriteRecoveryProgress(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"phases\":[]}\n")
-	return err
+// testWaterfall is a recorder holding three completed transactions.
+func testWaterfall() *waterfall.Recorder {
+	r := waterfall.New(waterfall.Config{Nodes: 1})
+	for id := int64(1); id <= 3; id++ {
+		r.Begin(id, 0, 0)
+		r.End(id, 100*id, waterfall.OutcomeCommitted)
+	}
+	return r
 }
 
-// stubDebt is a DebtSource standing in for the recovery-debt tracker (same
-// import constraint as stubGraph: obs cannot import its own subpackage).
-type stubDebt struct{}
-
-func (stubDebt) WriteDebtJSON(w io.Writer) error {
-	_, err := io.WriteString(w, "{\"enabled\":true,\"debt_records\":7}\n")
-	return err
-}
-func (stubDebt) WriteDebtProm(w io.Writer) error {
-	_, err := io.WriteString(w, "# TYPE smdb_recovery_debt_records gauge\nsmdb_recovery_debt_records 7\n")
-	return err
+// testDebt is a debt tracker holding seven unforced log records.
+func testDebt() *debt.Tracker {
+	d := debt.New(debt.Config{Nodes: 1})
+	for lsn := int64(1); lsn <= 7; lsn++ {
+		d.NoteAppend(0, lsn, 1, 1, 64, 0)
+	}
+	return d
 }
 
 // TestEndpointIndexComplete pins the generated index to the registrations:
 // every endpoint the mux registers must appear in the "/" body and must not
 // 404 — the drift the hand-maintained index used to accumulate.
 func TestEndpointIndexComplete(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), stubGraph{}, stubAudit{}, stubProf{}, stubWf{}, stubDebt{})
+	h := NewHTTPHandler(static(Sources{Obs: goldenObserver(), Graph: stubGraph{}, Audit: stubAudit{},
+		Prof: prof.NewPair(8), Waterfall: testWaterfall(), Debt: testDebt()}))
 	code, body, _ := get(t, h, "/")
 	if code != 200 {
 		t.Fatalf("index = %d", code)
@@ -214,23 +199,36 @@ func TestEndpointIndexComplete(t *testing.T) {
 }
 
 func TestWaterfallEndpoints(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), nil, nil, nil, stubWf{}, nil)
+	h := NewHTTPHandler(static(Sources{Obs: goldenObserver(), Waterfall: testWaterfall()}))
 
-	code, body, ctype := get(t, h, "/slow?max=5")
-	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"max":5`) {
-		t.Errorf("/slow?max=5 = %d %q %q", code, ctype, body)
+	slow := func(path string) int {
+		t.Helper()
+		code, body, ctype := get(t, h, path)
+		var doc struct {
+			Slow []json.RawMessage `json:"slow"`
+		}
+		if code != 200 || !strings.Contains(ctype, "application/json") || json.Unmarshal([]byte(body), &doc) != nil {
+			t.Fatalf("%s = %d %q %q", path, code, ctype, body)
+		}
+		return len(doc.Slow)
 	}
-	code, body, _ = get(t, h, "/slow/trace")
+	if n := slow("/slow"); n != 3 {
+		t.Errorf("/slow lists %d waterfalls, want 3", n)
+	}
+	if n := slow("/slow?max=2"); n != 2 {
+		t.Errorf("/slow?max=2 lists %d waterfalls, want 2", n)
+	}
+	code, body, _ := get(t, h, "/slow/trace")
 	if code != 200 || !strings.Contains(body, `"traceEvents"`) {
 		t.Errorf("/slow/trace = %d %q", code, body)
 	}
 	// Both txn id spellings resolve to the packed integer.
 	code, body, _ = get(t, h, "/slow/t0.3")
-	if code != 200 || !strings.Contains(body, `"txn":3`) {
+	if code != 200 || !strings.Contains(body, `"txn": 3`) {
 		t.Errorf("/slow/t0.3 = %d %q", code, body)
 	}
 	code, body, _ = get(t, h, "/slow/281474976710660")
-	if code != 200 || !strings.Contains(body, `"txn":281474976710660`) {
+	if code != 200 || !strings.Contains(body, `"txn": 281474976710660`) {
 		t.Errorf("/slow/<packed> = %d %q", code, body)
 	}
 	code, _, _ = get(t, h, "/slow/bogus")
@@ -247,7 +245,7 @@ func TestWaterfallEndpoints(t *testing.T) {
 	}
 
 	// Without a recorder the waterfall endpoints degrade, not 404.
-	h = NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h = NewHTTPHandler(static(Sources{}))
 	for _, path := range []string{"/slow", "/slow/trace", "/slow/t0.1", "/recovery/progress"} {
 		code, body, _ := get(t, h, path)
 		if code != 200 || !strings.Contains(body, `"enabled": false`) {
@@ -257,10 +255,10 @@ func TestWaterfallEndpoints(t *testing.T) {
 }
 
 func TestDebtEndpoint(t *testing.T) {
-	h := NewHTTPHandler(goldenObserver(), nil, nil, nil, nil, stubDebt{})
+	h := NewHTTPHandler(static(Sources{Obs: goldenObserver(), Debt: testDebt()}))
 
 	code, body, ctype := get(t, h, "/recovery/debt")
-	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"debt_records":7`) {
+	if code != 200 || !strings.Contains(ctype, "application/json") || !strings.Contains(body, `"debt_records": 7`) {
 		t.Errorf("/recovery/debt = %d %q %q", code, ctype, body)
 	}
 	code, body, _ = get(t, h, "/metrics")
@@ -269,7 +267,7 @@ func TestDebtEndpoint(t *testing.T) {
 	}
 
 	// Without a tracker the endpoint degrades, not 404.
-	h = NewHTTPHandler(nil, nil, nil, nil, nil, nil)
+	h = NewHTTPHandler(static(Sources{}))
 	code, body, _ = get(t, h, "/recovery/debt")
 	if code != 200 || !strings.Contains(body, `"enabled": false`) {
 		t.Errorf("/recovery/debt with nil tracker = %d %q", code, body)

@@ -28,7 +28,7 @@ func TestTracerLiveCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.AttachObserver(o)
+	db.Attach(recovery.Observers{Obs: o})
 	if err := workload.Seed(db, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,11 @@
 // pointer and call unconditionally.
 //
 // The package deliberately imports nothing but the standard library (and no
-// other internal package): internal/machine and internal/recovery both
-// import it, and internal/obs exposes it over HTTP/flight dumps through the
-// obs.ProfSource interface, so any inward dependency would cycle. Phases are
-// keyed by their obs.Phase string form for the same reason.
+// other internal package): internal/obs imports it directly to carry it in
+// the substrate hook set and to render it over HTTP and flight dumps, and
+// internal/machine and internal/recovery import both, so any inward
+// dependency would cycle. Phases are keyed by their obs.Phase string form
+// for the same reason.
 package prof
 
 import (
@@ -512,7 +513,7 @@ func (s WorkerSnapshot) TotalMergeNS() int64 {
 }
 
 // Pair bundles the two profiler halves. A nil *Pair is the disabled
-// profiler; it satisfies obs.ProfSource with "{"enabled": false}" output.
+// profiler; its writers render "{"enabled": false}".
 type Pair struct {
 	Stripes *StripeProf
 	Workers *WorkerProf

@@ -218,17 +218,6 @@ func (r *Recorder) WriteWaterfallJSON(w io.Writer) error {
 	return r.Progress().WriteJSON(w)
 }
 
-// WriteWaterfallChrome, WriteWaterfallProm, and WriteRecoveryProgress are
-// the names the obs.WaterfallSource interface uses (obs cannot import this
-// package's types, so the recorder satisfies the interface structurally).
-func (r *Recorder) WriteWaterfallChrome(w io.Writer) error { return r.WriteChromeTrace(w) }
-
-// WriteWaterfallProm appends the Prometheus lines (see WriteProm).
-func (r *Recorder) WriteWaterfallProm(w io.Writer) error { return r.WriteProm(w) }
-
-// WriteRecoveryProgress writes the /recovery/progress document.
-func (r *Recorder) WriteRecoveryProgress(w io.Writer) error { return r.Progress().WriteJSON(w) }
-
 // Summary renders the one-line census obscli prints at Finish.
 func (r *Recorder) Summary() string {
 	if r == nil {

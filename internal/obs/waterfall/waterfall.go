@@ -12,9 +12,9 @@
 // default: every hot-path method is nil-receiver safe and allocation-free on
 // the nil path, so callers hold a possibly-nil *Recorder and call it
 // unconditionally. The package imports nothing but the standard library —
-// machine, wal, buffer and recovery all import it, and internal/obs exposes
-// it over HTTP/flight dumps through the obs.WaterfallSource interface, so
-// any inward dependency would cycle.
+// internal/obs imports it directly to carry it in the substrate hook set and
+// to render it over HTTP and flight dumps, so any inward dependency would
+// cycle.
 package waterfall
 
 import (

@@ -54,7 +54,7 @@ func TestDisabledStackIsInert(t *testing.T) {
 	if tr := s.Attach(db); tr != nil {
 		t.Errorf("disabled Attach returned a tracker")
 	}
-	if db.Observer() != nil || db.Deps() != nil {
+	if cur := db.Observers(); cur.Obs != nil || cur.Deps != nil {
 		t.Error("disabled Attach wired the DB")
 	}
 	if err := s.Finish(io.Discard); err != nil {
@@ -126,7 +126,7 @@ func TestStackSmoke(t *testing.T) {
 
 	db := newDB(t, recovery.VolatileSelectiveRedo)
 	tr := s.Attach(db)
-	if tr == nil || db.Observer() != s.Obs || db.Deps() != tr || s.Tracker() != tr {
+	if cur := db.Observers(); tr == nil || cur.Obs != s.Obs || cur.Deps != tr || s.Observers().Deps != tr {
 		t.Fatal("Attach did not wire the DB")
 	}
 	crashedRun(t, db)
@@ -238,18 +238,19 @@ func TestStackTrackerSwap(t *testing.T) {
 	if tr1 == nil || tr2 == nil || tr1 == tr2 {
 		t.Fatalf("expected two distinct trackers, got %p %p", tr1, tr2)
 	}
-	if s.Tracker() != tr2 {
+	if s.Observers().Deps != tr2 {
 		t.Error("stack did not swap to the newest tracker")
 	}
+	graph := s.Observers().Sources().Graph
 	var dot strings.Builder
-	if err := s.WriteDOT(&dot); err != nil {
+	if err := graph.WriteDOT(&dot); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dot.String(), "digraph recovery_deps") {
 		t.Errorf("stack DOT = %q", dot.String())
 	}
 	var js strings.Builder
-	if err := s.WriteGraphJSON(&js); err != nil {
+	if err := graph.WriteGraphJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid([]byte(js.String())) {
@@ -404,16 +405,16 @@ func TestStackAuditWiring(t *testing.T) {
 
 	db := newDB(t, recovery.StableEager)
 	s.Attach(db)
-	if s.Auditor() == nil {
+	if s.Observers().Audit == nil {
 		t.Fatal("-audit Attach left no auditor")
 	}
-	if db.Audit() != s.Auditor() {
+	if db.Observers().Audit != s.Observers().Audit {
 		t.Error("DB and stack disagree on the auditor")
 	}
 	crashedRun(t, db)
 
-	if n := s.Auditor().ViolationCount(); n != 0 {
-		t.Errorf("clean StableEager episode raised %d violations: %+v", n, s.Auditor().Violations())
+	if a := s.Observers().Audit; a.ViolationCount() != 0 {
+		t.Errorf("clean StableEager episode raised %d violations: %+v", a.ViolationCount(), a.Violations())
 	}
 	body := get("/audit/txn")
 	if !strings.Contains(body, `"enabled": true`) || !strings.Contains(body, `"summary"`) {
@@ -433,9 +434,9 @@ func TestStackAuditWiring(t *testing.T) {
 
 	// A second Attach swaps in a fresh auditor (the sweep shape).
 	db2 := newDB(t, recovery.VolatileSelectiveRedo)
-	a1 := s.Auditor()
+	a1 := s.Observers().Audit
 	s.Attach(db2)
-	if s.Auditor() == a1 {
+	if s.Observers().Audit == a1 {
 		t.Error("Attach did not swap the auditor")
 	}
 

@@ -19,15 +19,10 @@ type recArena struct {
 }
 
 // arena returns worker slot w's scratch arena. Slots were sized at New from
-// RecoveryWorkers; out-of-range callers (defensive — forEachChunk never
-// hands out a slot >= RecoveryWorkers) share slot 0 with the sequential
-// pipeline.
-func (db *DB) arena(w int) *recArena {
-	if w < 0 || w >= len(db.arenas) {
-		w = 0
-	}
-	return &db.arenas[w]
-}
+// RecoveryWorkers, which is fixed at construction: a slot out of range
+// means the fan-out width changed after New, and sharing a slot would race,
+// so the index panics instead.
+func (db *DB) arena(w int) *recArena { return &db.arenas[w] }
 
 // reset empties the arena's buffers, keeping their capacity.
 func (a *recArena) reset() {

@@ -52,7 +52,9 @@ type Config struct {
 	// undo tag scan, lock replay, cache flush). 0 or 1 keeps the fully
 	// sequential pipeline. Post-recovery database state, abort sets, and
 	// the Redo/Undo counters are identical at every setting; only wall
-	// clock (and the incidental simulated interleaving) changes.
+	// clock (and the incidental simulated interleaving) changes. Fixed at
+	// New, which sizes one scratch arena per worker: raising it on a built
+	// DB panics at the next parallel Recover.
 	RecoveryWorkers int
 	// RecoveryStealGrain tunes the work-stealing chunker of the parallel
 	// phases: the number of chunks per worker the size balancer targets.
@@ -146,6 +148,9 @@ type txnState struct {
 	// observation.
 	beginSim int64
 	locks    []heldLock
+	// queued is the lock the transaction's latest blocked request waits in
+	// the queue of, 0 for none (see NoteWait).
+	queued lock.Name
 	// writes lists the updates the transaction applied (node-local; used
 	// for commit-time tag clearing and by the IFA oracle).
 	writes []writeRec
@@ -249,21 +254,6 @@ type DB struct {
 	// activeLBM tracks, for StableTriggered, the highest unforced LSN per
 	// node so the trigger knows how far to force.
 	pendingLSN []wal.LSN
-	// obs is the attached observability layer (nil when disabled; all its
-	// methods are nil-safe).
-	obs *obs.Observer
-	// deps is the attached dependency-graph tracker (nil when disabled;
-	// nil-safe); see AttachDeps.
-	deps *deps.Tracker
-	// audit is the attached online IFA auditor (nil when disabled;
-	// nil-safe); see AttachAudit.
-	audit *audit.Auditor
-	// flight is the attached crash flight recorder (nil when disabled;
-	// nil-safe); see SetFlightRecorder.
-	flight *obs.FlightRecorder
-	// prof is the attached contention & cost-attribution profiler pair
-	// (nil when disabled; nil-safe); see AttachProf.
-	prof *prof.Pair
 	// fault is the attached chaos injector (nil when chaos is off); see
 	// AttachFaults.
 	fault *fault.Injector
@@ -278,14 +268,12 @@ type DB struct {
 	// schedp is the attached chaos schedule record/replay session (nil when
 	// disabled); see AttachSched.
 	schedp atomic.Pointer[sched.Session]
-	// wfp is the attached per-transaction waterfall recorder (nil when
-	// disabled); see AttachWaterfall. An atomic pointer because the hot
-	// paths (Update, Read, Commit) consult it outside db.mu.
-	wfp atomic.Pointer[waterfall.Recorder]
-	// dbtp is the attached recovery-debt tracker (nil when disabled); see
-	// AttachDebt. Atomic for the same reason as wfp: Recover consults it
-	// outside db.mu.
-	dbtp atomic.Pointer[debt.Tracker]
+	// set is the attached observer set, never nil (an empty set when
+	// nothing is attached); see Attach. Immutable once published, so every
+	// reader takes one atomic load and no lock. attachMu serializes
+	// publishers.
+	set      atomic.Pointer[Observers]
+	attachMu sync.Mutex
 	// arenas are the per-worker-slot reusable recovery scratch buffers
 	// (see recArena): slot w belongs to fan-out worker slot w, slot 0 to
 	// the sequential paths. Sized once at New from RecoveryWorkers, reused
@@ -340,6 +328,10 @@ func New(cfg Config) (*DB, error) {
 		pendingLSN: make([]wal.LSN, m.Nodes()),
 	}
 	db.BM.NVRAMLog = cfg.NVRAMLog
+	db.set.Store(&Observers{})
+	for _, l := range logs {
+		l.Observe(m)
+	}
 	slots := cfg.RecoveryWorkers
 	if slots < 1 {
 		slots = 1
@@ -426,250 +418,129 @@ func (db *DB) SchedPoint(actor int32, site string, arg int64) int64 {
 	return db.schedp.Load().Point(actor, site, arg)
 }
 
-// AttachObserver wires the observability layer through every engine
-// substrate: the machine (coherency, line locks, crashes), each node's WAL,
-// the lock manager, the buffer manager, and the protocol layer itself
-// (transaction lifecycle, recovery phases). Call before running work;
-// passing nil detaches everywhere.
-func (db *DB) AttachObserver(o *obs.Observer) {
-	db.M.SetObserver(o)
-	for _, l := range db.Logs {
-		l := l
-		node := l.Node()
-		var fn func() int64
-		if o != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetObserver(o, fn)
+// Observers is the set of observers one DB reports to. Any field may be
+// nil. Attach publishes a set as a whole, so there is no attach order: the
+// observer's event sink, the substrate hooks, and the flight recorder's
+// sources are all derived from the one set.
+type Observers struct {
+	// Obs receives trace events, histograms, and recovery-phase spans from
+	// every substrate and from the protocol layer.
+	Obs *obs.Observer
+	// Deps is the dependency-graph tracker: it joins Obs's event sink and
+	// receives the protocol's write/crash/recovered notifications. It
+	// needs Obs for line residency.
+	Deps *deps.Tracker
+	// Audit is the online IFA auditor: it joins Obs's event sink (beside
+	// Deps) and receives the same protocol notifications. It needs Obs.
+	Audit *audit.Auditor
+	// Prof is the contention & cost-attribution profiler: the machine's
+	// stripe helpers feed its stripe half, the parallel restart pipeline
+	// its worker half.
+	Prof *prof.Pair
+	// Waterfall is the per-transaction latency waterfall recorder, fed by
+	// the machine, WALs, buffer manager, and protocol layer.
+	Waterfall *waterfall.Recorder
+	// Debt is the live recovery-debt tracker, fed by the WALs, the buffer
+	// manager, and Recover.
+	Debt *debt.Tracker
+	// Flight is the crash flight recorder: a crash leaves a dump (written
+	// at the next Recover entry) rendering every other surface of the set.
+	Flight *obs.FlightRecorder
+}
+
+// Sources returns the set's surfaces as the obs HTTP server and flight
+// recorder render them (detached surfaces stay nil interfaces).
+func (o Observers) Sources() obs.Sources {
+	src := obs.Sources{Obs: o.Obs, Prof: o.Prof, Waterfall: o.Waterfall, Debt: o.Debt}
+	if o.Deps != nil {
+		src.Graph = o.Deps
 	}
-	db.Locks.SetObserver(o)
-	db.BM.SetObserver(o)
-	db.mu.Lock()
-	db.obs = o
-	db.mu.Unlock()
-}
-
-// Observer returns the attached observability layer (nil when disabled).
-func (db *DB) Observer() *obs.Observer {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.obs
-}
-
-// AttachDeps wires a dependency-graph tracker: it becomes the observer's
-// event sink (so coherency, WAL, and txn-lifecycle events flow into it) and
-// receives the recovery layer's direct write/crash/recovered notifications.
-// Call after AttachObserver — the tracker needs the event stream to maintain
-// line residency. Passing nil detaches.
-func (db *DB) AttachDeps(t *deps.Tracker) {
-	db.mu.Lock()
-	db.deps = t
-	db.rewireSinkLocked()
-	db.mu.Unlock()
-}
-
-// AttachAudit wires an online IFA auditor: it joins the observer's event
-// sink (alongside the dependency tracker, if one is attached) and receives
-// the recovery layer's direct write/crash/recovered notifications, so it
-// can check the logging-before-migration invariant on every coherency
-// transition while the workload runs. Call after AttachObserver — the
-// auditor needs the event stream. Passing nil detaches.
-func (db *DB) AttachAudit(a *audit.Auditor) {
-	db.mu.Lock()
-	db.audit = a
-	db.rewireSinkLocked()
-	db.mu.Unlock()
-}
-
-// rewireSinkLocked points the observer's single sink at whichever of the
-// dependency tracker and the auditor are attached (a MultiSink when both
-// are). Caller holds db.mu.
-func (db *DB) rewireSinkLocked() {
-	o := db.obs
-	if o == nil {
-		return
+	if o.Audit != nil {
+		src.Audit = o.Audit
 	}
-	switch {
-	case db.deps != nil && db.audit != nil:
-		o.SetSink(obs.MultiSink{db.deps, db.audit})
-	case db.deps != nil:
-		o.SetSink(db.deps)
-	case db.audit != nil:
-		o.SetSink(db.audit)
-	default:
-		o.SetSink(nil)
+	return src
+}
+
+// hooks returns the substrate view of the set, nil when it feeds no
+// substrate, so detached substrates pay one atomic load and a nil branch.
+func (o Observers) hooks() *obs.Hooks {
+	hk := obs.Hooks{Obs: o.Obs, Waterfall: o.Waterfall, Debt: o.Debt}
+	if o.Prof != nil {
+		hk.Stripes = o.Prof.Stripes
 	}
-}
-
-// Deps returns the attached dependency tracker (nil when disabled).
-func (db *DB) Deps() *deps.Tracker {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.deps
-}
-
-// Audit returns the attached online auditor (nil when disabled).
-func (db *DB) Audit() *audit.Auditor {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.audit
-}
-
-// AttachProf wires the contention & cost-attribution profiler: the stripe
-// half attaches to the machine's lock helpers (every stripe acquisition,
-// contended or not, and every condvar sleep is counted from here on) and the
-// worker half receives per-phase cost attribution from the parallel restart
-// pipeline. Passing nil detaches both. Unlike the observer, the profiler is
-// safe to attach and detach mid-run: open critical sections straddling the
-// switch account only the half they saw.
-func (db *DB) AttachProf(p *prof.Pair) {
-	if p != nil {
-		db.M.SetProfiler(p.Stripes)
-	} else {
-		db.M.SetProfiler(nil)
-	}
-	db.mu.Lock()
-	db.prof = p
-	db.mu.Unlock()
-}
-
-// AttachWaterfall wires the per-transaction latency waterfall recorder
-// through every substrate that attributes waits: the machine (line-lock
-// queueing with holder resolution), each node's WAL (append markers), the
-// buffer manager (disk-fetch waits), and the protocol layer itself (compute
-// residue brackets, log-force and undo time, transaction lifecycle). Passing
-// nil detaches everywhere.
-func (db *DB) AttachWaterfall(w *waterfall.Recorder) {
-	db.M.SetWaterfall(w)
-	for _, l := range db.Logs {
-		node := l.Node()
-		var fn func() int64
-		if w != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetWaterfall(w, fn)
-	}
-	db.BM.SetWaterfall(w)
-	if w == nil {
-		db.wfp.Store(nil)
-		return
-	}
-	db.wfp.Store(w)
-}
-
-// Waterfall returns the attached waterfall recorder (nil when disabled; all
-// its methods are nil-safe).
-func (db *DB) Waterfall() *waterfall.Recorder { return db.wfp.Load() }
-
-// AttachDebt wires the live recovery-debt tracker through the substrates
-// that accumulate (and retire) replay debt: each node's WAL (append, force,
-// crash truncation, discard) and the buffer manager (dirty-page
-// transitions). Recover feeds it MTTR samples and estimator calibration.
-// Passing nil detaches everywhere.
-func (db *DB) AttachDebt(d *debt.Tracker) {
-	for _, l := range db.Logs {
-		node := l.Node()
-		var fn func() int64
-		if d != nil {
-			fn = func() int64 { return db.M.Clock(node) }
-		}
-		l.SetDebt(d, fn)
-	}
-	db.BM.SetDebt(d)
-	if d == nil {
-		db.dbtp.Store(nil)
-		return
-	}
-	db.dbtp.Store(d)
-}
-
-// Debt returns the attached recovery-debt tracker (nil when disabled; all
-// its methods are nil-safe).
-func (db *DB) Debt() *debt.Tracker { return db.dbtp.Load() }
-
-// Prof returns the attached profiler pair (nil when disabled).
-func (db *DB) Prof() *prof.Pair {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.prof
-}
-
-// profWorkers returns the worker-attribution half of the attached profiler,
-// nil when profiling is off (the parallel pipeline tests this once per
-// fan-out).
-func (db *DB) profWorkers() *prof.WorkerProf {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.prof == nil {
+	if hk == (obs.Hooks{}) {
 		return nil
 	}
-	return db.prof.Workers
+	return &hk
 }
 
-// SetFlightRecorder wires a crash flight recorder: on every node crash a
-// post-mortem dump (last-N events per node, dependency graph, stats deltas
-// since the previous dump) is written at the next Recover entry, and
-// harnesses call DumpFlight on IFA-check failures. Call after AttachObserver
-// and AttachDeps so the recorder sees both. Passing nil detaches.
-func (db *DB) SetFlightRecorder(r *obs.FlightRecorder) {
-	db.mu.Lock()
-	db.flight = r
-	o := db.obs
-	t := db.deps
-	a := db.audit
-	db.mu.Unlock()
-	if r == nil {
-		return
+// Attach replaces the DB's observer set; the zero Observers detaches
+// everything. Observers may be attached, swapped, and detached while work
+// runs: every reader loads the set atomically, and a surface attached
+// mid-run simply sees the events from then on (open profiled sections
+// straddling the switch account only the half they saw).
+func (db *DB) Attach(o Observers) {
+	db.attachMu.Lock()
+	defer db.attachMu.Unlock()
+	db.attachLocked(o)
+}
+
+// AttachWaterfall replaces only the set's waterfall recorder (nil
+// detaches it), keeping every other observer attached.
+func (db *DB) AttachWaterfall(w *waterfall.Recorder) {
+	db.attachMu.Lock()
+	defer db.attachMu.Unlock()
+	o := *db.set.Load()
+	o.Waterfall = w
+	db.attachLocked(o)
+}
+
+// attachLocked publishes o. Caller holds attachMu.
+func (db *DB) attachLocked(o Observers) {
+	switch {
+	case o.Deps != nil && o.Audit != nil:
+		o.Obs.SetSink(obs.MultiSink{o.Deps, o.Audit})
+	case o.Deps != nil:
+		o.Obs.SetSink(o.Deps)
+	case o.Audit != nil:
+		o.Obs.SetSink(o.Audit)
+	default:
+		o.Obs.SetSink(nil)
 	}
-	var g obs.GraphWriter
-	if t != nil {
-		g = t
+	if o.Flight != nil {
+		src := o.Sources()
+		src.Stats = db.statsDeltaWriter()
+		o.Flight.SetSources(src)
 	}
-	var as obs.AuditSource
-	if a != nil {
-		as = a
-	}
-	var ps obs.ProfSource
-	if p := db.Prof(); p != nil {
-		ps = p
-	}
-	var ws obs.WaterfallSource
-	if wf := db.Waterfall(); wf != nil {
-		ws = wf
-	}
-	var ds obs.DebtSource
-	if d := db.Debt(); d != nil {
-		ds = d
-	}
-	// Stats writer: machine + protocol counters as deltas since the last
-	// dump, so each dump reads as "what happened since the previous one".
+	db.M.Hooks().Store(o.hooks())
+	db.set.Store(&o)
+}
+
+// statsDeltaWriter returns a flight-dump stats writer: machine and protocol
+// counters as deltas since its previous call, so each dump reads as "what
+// happened since the previous one".
+func (db *DB) statsDeltaWriter() func(io.Writer) error {
 	var prevM machine.Stats
 	var prevP Stats
-	var prevMu sync.Mutex
-	r.SetSources(o, g, as, ps, ws, ds, func(w io.Writer) error {
-		curM := db.M.Stats()
-		curP := db.Stats()
-		prevMu.Lock()
-		dM := curM.Sub(prevM)
-		dP := curP.Sub(prevP)
+	var mu sync.Mutex
+	return func(w io.Writer) error {
+		curM, curP := db.M.Stats(), db.Stats()
+		mu.Lock()
+		dM, dP := curM.Sub(prevM), curP.Sub(prevP)
 		prevM, prevP = curM, curP
-		prevMu.Unlock()
-		fmt.Fprintf(w, "machine stats delta: %+v\n\nprotocol stats delta: %+v\n", dM, dP)
-		return nil
-	})
+		mu.Unlock()
+		_, err := fmt.Fprintf(w, "machine stats delta: %+v\n\nprotocol stats delta: %+v\n", dM, dP)
+		return err
+	}
 }
 
-// FlightRecorder returns the attached flight recorder (nil when disabled).
-func (db *DB) FlightRecorder() *obs.FlightRecorder {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.flight
-}
+// Observers returns the attached observer set (fields nil when detached).
+func (db *DB) Observers() Observers { return *db.set.Load() }
 
 // DumpFlight writes a flight-recorder dump with the given reason, returning
 // its directory. A detached recorder returns ("", nil).
 func (db *DB) DumpFlight(reason string) (string, error) {
-	return db.FlightRecorder().Dump(reason)
+	return db.set.Load().Flight.Dump(reason)
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -726,10 +597,10 @@ func (db *DB) Begin(nd machine.NodeID) (wal.TxnID, error) {
 	db.seqs[nd]++
 	id := wal.MakeTxnID(nd, db.seqs[nd])
 	db.txns[id] = &txnState{id: id, status: TxnActive, beginSim: now}
-	o := db.obs
 	db.mu.Unlock()
-	o.Instant(obs.KindTxnBegin, int32(nd), now, int64(id), 0)
-	db.wfp.Load().Begin(int64(id), int32(nd), now)
+	set := db.set.Load()
+	set.Obs.Instant(obs.KindTxnBegin, int32(nd), now, int64(id), 0)
+	set.Waterfall.Begin(int64(id), int32(nd), now)
 	return id, nil
 }
 
@@ -782,6 +653,9 @@ func (db *DB) NoteLock(t wal.TxnID, name lock.Name, mode lock.Mode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if st, ok := db.txns[t]; ok {
+		if st.queued == name {
+			st.queued = 0
+		}
 		for i := range st.locks {
 			if st.locks[i].name == name {
 				if mode > st.locks[i].mode {
@@ -792,6 +666,29 @@ func (db *DB) NoteLock(t wal.TxnID, name lock.Name, mode lock.Mode) {
 		}
 		st.locks = append(st.locks, heldLock{name: name, mode: mode})
 	}
+}
+
+// NoteWait records that t's request for name is queued, not granted
+// (node-local bookkeeping: whoever finishes t on behalf of a worker that
+// stopped while blocked must withdraw the request, or a later release
+// would promote it to the finished transaction).
+func (db *DB) NoteWait(t wal.TxnID, name lock.Name) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if st, ok := db.txns[t]; ok {
+		st.queued = name
+	}
+}
+
+// QueuedLock returns the lock t's latest blocked request is queued on, 0
+// when it waits for none (see NoteWait).
+func (db *DB) QueuedLock(t wal.TxnID) lock.Name {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if st, ok := db.txns[t]; ok {
+		return st.queued
+	}
+	return 0
 }
 
 // WriteCount returns how many updates a transaction has applied (for

@@ -98,11 +98,9 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 			}
 		}
 	}
-	dt := db.deps
-	au := db.audit
-	fl := db.flight
 	db.mu.Unlock()
-	if dt != nil || au != nil {
+	set := db.set.Load()
+	if set.Deps != nil || set.Audit != nil {
 		// The tracker computes IFA-explainer verdicts against the exact
 		// crash-instant state, and the auditor marks its crash victims and
 		// suspends LBM checks for the recovery window; like everything in
@@ -117,10 +115,10 @@ func (db *DB) noteCrash(rep machine.CrashReport) {
 			lost[i] = int32(l)
 		}
 		now := db.M.MaxClock()
-		dt.NoteCrash(crashed, lost, victims, now)
-		au.NoteCrash(crashed, lost, now)
+		set.Deps.NoteCrash(crashed, lost, victims, now)
+		set.Audit.NoteCrash(crashed, lost, now)
 	}
-	if fl != nil {
+	if set.Flight != nil {
 		// No file I/O under the machine lock: Recover writes the dump.
 		db.flightPending.Store(true)
 	}
@@ -145,7 +143,7 @@ func (db *DB) forceThrough(nd machine.NodeID, lsn wal.LSN, bump func(*Stats)) er
 		cost := db.logForceCost()
 		db.M.AdvanceClock(nd, cost)
 		db.bump(bump)
-		db.Observer().ObserveLogForce(cost)
+		db.set.Load().Obs.ObserveLogForce(cost)
 	}
 	return nil
 }

@@ -161,15 +161,14 @@ func (db *DB) finalizeCommit(t wal.TxnID) error {
 	}
 	st.status = TxnCommitted
 	db.stats.Commits++
-	o := db.obs
 	beginSim := st.beginSim
 	db.mu.Unlock()
-	if o != nil {
+	if o := db.set.Load().Obs; o != nil {
 		now := db.M.Clock(nd)
 		o.Instant(obs.KindTxnCommit, int32(nd), now, int64(t), 0)
 		o.ObserveCommit(now - beginSim)
 	}
-	if wf := db.wfp.Load(); wf != nil {
+	if wf := db.set.Load().Waterfall; wf != nil {
 		// Close the Commit bracket (a no-op for global branches, which never
 		// opened one) and complete the waterfall.
 		now := db.M.Clock(nd)

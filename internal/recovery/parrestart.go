@@ -157,7 +157,7 @@ func (db *DB) recordFanout(wp *prof.WorkerProf, phase obs.Phase, workers int, wa
 	for i := range meters {
 		busy += meters[i].BusyNS
 	}
-	db.Observer().Record(obs.Event{
+	db.set.Load().Obs.Record(obs.Event{
 		Kind: obs.KindProfFanout, Phase: phase, Node: obs.SystemNode,
 		Sim: db.M.MaxClock(), Dur: wall.Nanoseconds(),
 		A: int64(workers), B: busy,
@@ -214,6 +214,16 @@ func (db *DB) collectRedoPar(alive []machine.NodeID, rep *RecoveryReport, w int)
 	}
 	profMergeEnd(db, obs.PhaseRedoScan, mergeStart)
 	return cands, nil
+}
+
+// profWorkers returns the worker-attribution half of the attached profiler,
+// nil when profiling is off (the parallel pipeline tests this once per
+// fan-out).
+func (db *DB) profWorkers() *prof.WorkerProf {
+	if p := db.set.Load().Prof; p != nil {
+		return p.Workers
+	}
+	return nil
 }
 
 // profMergeStart/profMergeEnd bracket a sequential merge step (concatenation,

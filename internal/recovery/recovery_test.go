@@ -22,13 +22,20 @@ var ifaProtocols = []recovery.Protocol{
 
 func newDB(t *testing.T, proto recovery.Protocol, nodes int) (*recovery.DB, *txn.Manager) {
 	t.Helper()
+	return newDBWorkers(t, proto, nodes, 0)
+}
+
+// newDBWorkers is newDB with a parallel restart fan-out of workers.
+func newDBWorkers(t *testing.T, proto recovery.Protocol, nodes, workers int) (*recovery.DB, *txn.Manager) {
+	t.Helper()
 	db, err := recovery.New(recovery.Config{
-		Machine:        machine.Config{Nodes: nodes, Lines: 2048},
-		Protocol:       proto,
-		LinesPerPage:   4,
-		RecsPerLine:    4,
-		Pages:          16,
-		LockTableLines: 64,
+		Machine:         machine.Config{Nodes: nodes, Lines: 2048},
+		Protocol:        proto,
+		LinesPerPage:    4,
+		RecsPerLine:     4,
+		Pages:           16,
+		LockTableLines:  64,
+		RecoveryWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +466,7 @@ func TestCanceledWaitNotResurrected(t *testing.T) {
 			if granted {
 				t.Fatal("conflicting acquire granted immediately")
 			}
-			if err := db.Locks.CancelWait(1, ty.ID(), name); err != nil {
+			if _, err := db.Locks.CancelWait(1, ty.ID(), name); err != nil {
 				t.Fatal(err)
 			}
 			db.Crash(0)

@@ -17,7 +17,7 @@ import (
 // wfProgress returns the attached waterfall recorder's recovery-progress
 // observer; nil (a no-op observer) when no recorder is attached.
 func (db *DB) wfProgress() *waterfall.Progress {
-	return db.wfp.Load().Progress()
+	return db.set.Load().Waterfall.Progress()
 }
 
 // Restart recovery (section 4.1.2 for database objects, 4.2 for support
@@ -65,7 +65,7 @@ type RecoveryReport struct {
 	ParPhases []ParPhase
 	// Prof is the profiler's view of this recovery — per-phase worker cost
 	// attribution and per-stripe contention deltas across the Recover call.
-	// Nil unless a profiler is attached (AttachProf).
+	// Nil unless a profiler is attached (Observers.Prof).
 	Prof *RecoveryProfile
 }
 
@@ -127,7 +127,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	// is judged against, and the closing sample — registered before the
 	// profiler span's defer so it runs after rep.Prof is final — feeds MTTR
 	// accounting and estimator calibration.
-	if dbt := db.Debt(); dbt != nil {
+	if dbt := db.set.Load().Debt; dbt != nil {
 		dbt.RecoveryStart(len(rep.Crashed))
 		defer func() {
 			var busy int64
@@ -149,7 +149,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 	pg.Start(len(rep.Crashed))
 	defer func() { pg.End(recovered) }()
 	startClock := db.M.MaxClock()
-	o := db.Observer()
+	o := db.set.Load().Obs
 
 	// A crash left a flight-recorder dump pending (noteCrash runs under the
 	// machine lock and may not touch files); write the post-mortem now,
@@ -239,7 +239,7 @@ func (db *DB) Recover(crashed []machine.NodeID) (*RecoveryReport, error) {
 // a closure storing the end-minus-start delta in rep.Prof. With no profiler
 // attached both halves are no-ops.
 func (db *DB) startProfSpan(rep *RecoveryReport) func() {
-	p := db.Prof()
+	p := db.set.Load().Prof
 	if p == nil {
 		return func() {}
 	}
@@ -257,17 +257,16 @@ func (db *DB) startProfSpan(rep *RecoveryReport) func() {
 // crash victims recovery aborted (the rest settled as stable-committed),
 // closing the crash episode in both.
 func (db *DB) noteRecovered(rep *RecoveryReport) {
-	dt := db.Deps()
-	au := db.Audit()
-	if dt == nil && au == nil {
+	set := db.set.Load()
+	if set.Deps == nil && set.Audit == nil {
 		return
 	}
 	aborted := make([]int64, len(rep.Aborted))
 	for i, t := range rep.Aborted {
 		aborted[i] = int64(t)
 	}
-	dt.NoteRecovered(aborted)
-	au.NoteRecovered(aborted, db.M.MaxClock())
+	set.Deps.NoteRecovered(aborted)
+	set.Audit.NoteRecovered(aborted, db.M.MaxClock())
 }
 
 // recoverOnce is one attempt at the IFA restart-recovery sequence. Counters
@@ -277,7 +276,7 @@ func (db *DB) noteRecovered(rep *RecoveryReport) {
 // with ErrRecoveryInterrupted and Recover re-enters.
 func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 	coord := alive[0]
-	o := db.Observer()
+	o := db.set.Load().Obs
 	phase := db.phaseTracker(rep, o)
 	// step closes the phase span, then gives the injector its shot at
 	// crashing a node (possibly coord) at exactly this boundary.
@@ -388,7 +387,7 @@ func (db *DB) recoverOnce(alive []machine.NodeID, rep *RecoveryReport) error {
 		if _, forced := db.Logs[n].ForceAll(); forced {
 			cost := db.logForceCost()
 			db.M.AdvanceClock(n, cost)
-			db.Observer().ObserveLogForce(cost)
+			db.set.Load().Obs.ObserveLogForce(cost)
 		}
 	}
 

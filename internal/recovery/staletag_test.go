@@ -43,8 +43,7 @@ func plantTag(t *testing.T, db *recovery.DB, nd machine.NodeID, rid heap.RID, ta
 // untouched (no spurious undo).
 func TestUndoTagScanStaleCommittedTag(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
-		db.Cfg.RecoveryWorkers = workers
+		db, mgr := newDBWorkers(t, recovery.VolatileSelectiveRedo, 3, workers)
 		rid := heap.RID{Page: 1, Slot: 0}
 		seed(t, mgr, []heap.RID{rid}, 1)
 
@@ -125,8 +124,7 @@ func TestUndoTagScanUnknownTaggerTag(t *testing.T) {
 // commit afterwards.
 func TestUndoTagScanLegitimateTagPreserved(t *testing.T) {
 	for _, workers := range []int{0, 4} {
-		db, mgr := newDB(t, recovery.VolatileSelectiveRedo, 3)
-		db.Cfg.RecoveryWorkers = workers
+		db, mgr := newDBWorkers(t, recovery.VolatileSelectiveRedo, 3, workers)
 		rid := heap.RID{Page: 1, Slot: 1}
 		seed(t, mgr, []heap.RID{rid}, 3)
 

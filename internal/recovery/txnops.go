@@ -16,7 +16,7 @@ import (
 // waterfall (zero — and unrecorded — when a group force already covered the
 // LSN, which is exactly the waterfall's point: only real stalls appear).
 func (db *DB) forceThroughTxn(nd machine.NodeID, t wal.TxnID, lsn wal.LSN, bump func(*Stats)) error {
-	wf := db.wfp.Load()
+	wf := db.set.Load().Waterfall
 	if wf == nil {
 		return db.forceThrough(nd, lsn, bump)
 	}
@@ -47,7 +47,7 @@ func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
 			return fmt.Errorf("recovery: log force on node %d torn by crash: %w", nd, machine.ErrNodeDown)
 		}
 	}
-	wf := db.wfp.Load()
+	wf := db.set.Load().Waterfall
 	start := db.M.Clock(nd)
 	res := db.Logs[nd].ForceGroup(lsn)
 	switch {
@@ -55,7 +55,7 @@ func (db *DB) forceCommit(nd machine.NodeID, t wal.TxnID, lsn wal.LSN) error {
 		cost := db.logForceCost()
 		db.M.AdvanceClock(nd, cost)
 		db.bump(func(s *Stats) { s.CommitForces++ })
-		db.Observer().ObserveLogForce(cost)
+		db.set.Load().Obs.ObserveLogForce(cost)
 	case res.Joined:
 		// The follower waited out another commit's physical force: same
 		// simulated latency, no device write of its own.
@@ -94,7 +94,7 @@ func (db *DB) Commit(nd machine.NodeID, t wal.TxnID) error {
 	// finalizeCommit) as compute. finalizeCommit closes the bracket just
 	// before it ends the waterfall; on the error paths the node is down and
 	// the crash sweep already dropped the open waterfall.
-	db.wfp.Load().OpStart(int64(t), int32(nd), db.M.Clock(nd))
+	db.set.Load().Waterfall.OpStart(int64(t), int32(nd), db.M.Clock(nd))
 	db.flushDeferred(nd, st)
 	lsn := db.Logs[nd].Append(wal.Record{Type: wal.TypeCommit, Txn: t})
 	if err := db.forceCommit(nd, t, lsn); err != nil {
@@ -180,7 +180,7 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	// The rollback is a bracket whose residue lands under "undo": the walk's
 	// slot reads, image installs, and directory work are undo time, while
 	// line waits and page fetches inside it keep their own causes.
-	wf := db.wfp.Load()
+	wf := db.set.Load().Waterfall
 	wf.SpanStart(int64(t), int32(nd), db.M.Clock(nd), waterfall.CauseUndo)
 	// Aggregate the undo per slot — the earliest before image plus the set
 	// of versions this transaction wrote — exactly as crashed-transaction
@@ -236,10 +236,9 @@ func (db *DB) Abort(nd machine.NodeID, t wal.TxnID) error {
 	db.mu.Lock()
 	st.status = TxnAborted
 	db.stats.Aborts++
-	o := db.obs
 	db.mu.Unlock()
 	now := db.M.Clock(nd)
-	o.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
+	db.set.Load().Obs.Instant(obs.KindTxnAbort, int32(nd), now, int64(t), 0)
 	wf.OpEnd(int64(t), int32(nd), now)
 	wf.End(int64(t), now, waterfall.OutcomeAborted)
 	return nil
@@ -347,7 +346,7 @@ func (db *DB) Checkpoint(nd machine.NodeID) error {
 		if _, forced := db.Logs[n].Force(lsn); forced {
 			cost := db.logForceCost()
 			db.M.AdvanceClock(n, cost)
-			db.Observer().ObserveLogForce(cost)
+			db.set.Load().Obs.ObserveLogForce(cost)
 		}
 		low := lsn
 		db.mu.Lock()

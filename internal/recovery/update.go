@@ -125,7 +125,7 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 	// and eager-LBM forces are attributed individually below, and whatever
 	// sim time remains unexplained lands in the compute residue. Reentrant
 	// under the transaction layer's own bracket.
-	if wf := db.wfp.Load(); wf != nil {
+	if wf := db.set.Load().Waterfall; wf != nil {
 		wf.OpStart(int64(t), int32(nd), db.M.Clock(nd))
 		defer func() { wf.OpEnd(int64(t), int32(nd), db.M.Clock(nd)) }()
 	}
@@ -231,18 +231,16 @@ func (db *DB) applyChange(nd machine.NodeID, t wal.TxnID, rid heap.RID, newFlags
 		// image advances immediately.
 		db.committed[rid] = committedImage{img: after, version: version}
 	}
-	dt := db.deps
-	au := db.audit
 	db.mu.Unlock()
-	if (dt != nil || au != nil) && nta == 0 {
+	if set := db.set.Load(); (set.Deps != nil || set.Audit != nil) && nta == 0 {
 		// Register the write with the dependency tracker and the online
 		// auditor while the line lock still pins the line: it cannot
 		// migrate, downgrade, or be invalidated before they know about the
 		// uncommitted data.
 		slot := int64(rid.Page)<<16 | int64(rid.Slot)
 		now := db.M.Clock(nd)
-		dt.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
-		au.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		set.Deps.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
+		set.Audit.NoteWrite(int64(t), int32(nd), int32(line), slot, int64(lsn), now)
 	}
 	return nil
 }
@@ -268,8 +266,8 @@ func (db *DB) lbmTrigger(ev machine.Event) (int64, error) {
 		cost := db.logForceCost()
 		// Safe with the machine lock held: the observer takes only its own
 		// locks and never calls back into the machine.
-		db.Observer().ObserveLogForce(cost)
-		if wf := db.wfp.Load(); wf != nil {
+		db.set.Load().Obs.ObserveLogForce(cost)
+		if wf := db.set.Load().Waterfall; wf != nil {
 			// The machine charges the trigger's cost to the acquiring node
 			// (ev.To), so the force is that node's current transaction's
 			// wait — the price of pulling an active line out of ev.From's

@@ -68,7 +68,7 @@ var wfNop = func() {}
 // included — and returns its closer. The engine's own brackets (applyChange)
 // nest inside harmlessly. With no recorder attached both halves no-op.
 func (t *Txn) wfOp() func() {
-	wf := t.mgr.DB.Waterfall()
+	wf := t.mgr.DB.Observers().Waterfall
 	if wf == nil {
 		return wfNop
 	}
@@ -111,7 +111,7 @@ func (t *Txn) check() error {
 		// Between a crash and the end of restart recovery, transaction
 		// processing stalls (the hardware has interrupted all CPUs);
 		// callers retry as they do for lock waits.
-		if t.stallSince == 0 && t.mgr.DB.Waterfall() != nil {
+		if t.stallSince == 0 && t.mgr.DB.Observers().Waterfall != nil {
 			t.stallSince = t.mgr.DB.M.Clock(t.node)
 		}
 		return ErrBlocked
@@ -119,7 +119,7 @@ func (t *Txn) check() error {
 	if t.stallSince != 0 {
 		// The freeze lifted: whatever sim time recovery charged this node in
 		// the meantime is the transaction's frozen stall.
-		if wf := t.mgr.DB.Waterfall(); wf != nil {
+		if wf := t.mgr.DB.Observers().Waterfall; wf != nil {
 			now := t.mgr.DB.M.Clock(t.node)
 			wf.AddWait(int64(t.id), waterfall.CauseFrozen, t.stallSince, now-t.stallSince, 0, 0)
 		}
@@ -135,7 +135,7 @@ func (t *Txn) check() error {
 // CauseLockWait segment; a granted attempt's cost stays in the enclosing
 // bracket's compute residue.
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
-	if wf := t.mgr.DB.Waterfall(); wf != nil {
+	if wf := t.mgr.DB.Observers().Waterfall; wf != nil {
 		waitFrom := t.mgr.DB.M.Clock(t.node)
 		defer func() {
 			if !errors.Is(err, ErrBlocked) && !errors.Is(err, ErrDeadlock) {
@@ -168,13 +168,22 @@ func (t *Txn) acquire(name lock.Name, mode lock.Mode) (err error) {
 		return err
 	}
 	if victim == t.id {
-		if err := locks.CancelWait(t.node, t.id, name); err != nil {
+		held, err := locks.CancelWait(t.node, t.id, name)
+		if err != nil {
 			return err
 		}
-		t.mgr.DB.Observer().Instant(obs.KindDeadlock, int32(t.node),
+		if held != 0 {
+			// A release may have promoted the request between the probe
+			// above and the cancel: record the grant so the abort that
+			// follows releases it (an upgrade wait's prior grant is
+			// recorded already).
+			t.mgr.DB.NoteLock(t.id, name, held)
+		}
+		t.mgr.DB.Observers().Obs.Instant(obs.KindDeadlock, int32(t.node),
 			t.mgr.DB.M.Clock(t.node), int64(t.id), int64(name))
 		return ErrDeadlock
 	}
+	t.mgr.DB.NoteWait(t.id, name)
 	return ErrBlocked
 }
 

@@ -5,8 +5,6 @@ import (
 
 	"smdb/internal/machine"
 	"smdb/internal/obs"
-	"smdb/internal/obs/debt"
-	"smdb/internal/obs/waterfall"
 	"smdb/internal/storage"
 )
 
@@ -50,20 +48,15 @@ type Log struct {
 	// ioRetries counts transient device errors retried inside Force.
 	ioRetries int
 
-	// obs receives append/force events; simNow supplies the owning node's
-	// simulated clock. simNow must be lock-free: Force can run inside a
-	// machine pre-transition callback (triggered Stable LBM), where the
-	// machine lock is already held.
-	obs    *obs.Observer
-	simNow func() int64
-	// wf receives per-transaction append markers for the latency waterfall
-	// (appends cost no simulated time, so the markers carry ordering, not
-	// duration). Same locking constraints as obs.
-	wf *waterfall.Recorder
-	// dbt receives append/force/crash/discard accounting for the live
-	// recovery-debt tracker. Same locking constraints as obs; the tracker
-	// only takes its own mutex and never calls back into the log.
-	dbt *debt.Tracker
+	// m, once set by Observe, supplies the observer hook set and the
+	// owning node's simulated clock. Both are lock-free reads: Force can run
+	// inside a machine pre-transition callback (triggered Stable LBM), where
+	// a stripe is already held. The observers receive append/force events,
+	// per-transaction append markers for the latency waterfall (appends cost
+	// no simulated time, so the markers carry ordering, not duration), and
+	// append/force/crash/discard accounting for the recovery-debt tracker;
+	// none of them calls back into the log.
+	m *machine.Machine
 }
 
 // NewLog creates a log for node n backed by stable device dev. If dev
@@ -99,36 +92,17 @@ func NewLog(n machine.NodeID, dev *storage.LogDevice) (*Log, error) {
 // Node returns the owning node.
 func (l *Log) Node() machine.NodeID { return l.node }
 
-// SetObserver attaches the observability layer. simNow supplies the owning
-// node's simulated clock for event timestamps and must be safe to call
-// without any engine locks (machine.Clock qualifies).
-func (l *Log) SetObserver(o *obs.Observer, simNow func() int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = o
-	l.simNow = simNow
-}
+// Observe makes the log report to m's observer hook set (see
+// machine.Machine.Hooks), timestamped with the owning node's clock on m.
+// Call once, before the log is shared; an unobserved log reports nothing.
+func (l *Log) Observe(m *machine.Machine) { l.m = m }
 
-// SetWaterfall attaches (or, with nil, detaches) the waterfall recorder.
-// simNow has the same contract as in SetObserver; it is shared.
-func (l *Log) SetWaterfall(w *waterfall.Recorder, simNow func() int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.wf = w
-	if simNow != nil {
-		l.simNow = simNow
+// hooks returns the attached observer set, nil when there is none.
+func (l *Log) hooks() *obs.Hooks {
+	if l.m == nil {
+		return nil
 	}
-}
-
-// SetDebt attaches (or, with nil, detaches) the recovery-debt tracker.
-// simNow has the same contract as in SetObserver; it is shared.
-func (l *Log) SetDebt(d *debt.Tracker, simNow func() int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dbt = d
-	if simNow != nil {
-		l.simNow = simNow
-	}
+	return l.m.Hooks().Load()
 }
 
 // EncodedSize returns the bytes r occupies on the stable device (header,
@@ -137,12 +111,12 @@ func EncodedSize(r *Record) int {
 	return recHeaderLen + 52 + len(r.Before) + len(r.After)
 }
 
-// now returns the owning node's simulated clock (0 when unwired).
+// now returns the owning node's simulated clock (0 when unobserved).
 func (l *Log) now() int64 {
-	if l.simNow == nil {
+	if l.m == nil {
 		return 0
 	}
-	return l.simNow()
+	return l.m.Clock(l.node)
 }
 
 // Device returns the stable log device backing this log (for force-count
@@ -171,13 +145,14 @@ func (l *Log) Append(r Record) LSN {
 		l.lastCkpt = r.LSN
 	}
 	l.recs = append(l.recs, r)
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALAppend, int32(l.node), l.now(), int64(r.LSN), int64(r.Type))
+	if hk := l.hooks(); hk != nil {
+		now := l.now()
+		hk.Obs.Instant(obs.KindWALAppend, int32(l.node), now, int64(r.LSN), int64(r.Type))
+		if r.Txn != 0 {
+			hk.Waterfall.NoteAppend(int64(r.Txn), now, 0, int64(r.LSN))
+		}
+		hk.Debt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), now)
 	}
-	if l.wf != nil && r.Txn != 0 {
-		l.wf.NoteAppend(int64(r.Txn), l.now(), 0, int64(r.LSN))
-	}
-	l.dbt.NoteAppend(int32(l.node), int64(r.LSN), uint8(r.Type), uint64(r.Txn), EncodedSize(&r), l.now())
 	return r.LSN
 }
 
@@ -240,17 +215,13 @@ func (l *Log) forceLocked(upto LSN) (records int, forced bool) {
 			return 0, false
 		}
 		l.ioRetries++
-		if l.obs != nil {
-			l.obs.Instant(obs.KindIORetry, int32(l.node), l.now(), int64(attempt), 0)
+		if hk := l.hooks(); hk != nil {
+			hk.Obs.Instant(obs.KindIORetry, int32(l.node), l.now(), int64(attempt), 0)
 		}
 	}
 	records = uptoIdx - l.forced
 	l.forced = uptoIdx
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
-			int64(records), int64(l.first)+int64(l.forced)-1)
-	}
-	l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, records, l.now())
+	l.noteForce(records)
 	return records, true
 }
 
@@ -321,14 +292,22 @@ func (l *Log) ForceTorn(upto LSN, frac float64) (whole, torn int) {
 	l.tornBytes += torn
 	l.down = true
 	l.wakeGroupLocked()
-	if l.obs != nil {
-		l.obs.Instant(obs.KindWALForce, int32(l.node), l.now(),
-			int64(whole), int64(l.first)+int64(l.forced)-1)
-	}
-	if whole > 0 {
-		l.dbt.NoteForce(int32(l.node), int64(l.first)+int64(l.forced)-1, whole, l.now())
-	}
+	l.noteForce(whole)
 	return whole, torn
+}
+
+// noteForce reports a force that made n more records stable. Caller holds
+// l.mu.
+func (l *Log) noteForce(n int) {
+	hk := l.hooks()
+	if hk == nil {
+		return
+	}
+	now, last := l.now(), int64(l.first)+int64(l.forced)-1
+	hk.Obs.Instant(obs.KindWALForce, int32(l.node), now, int64(n), last)
+	if n > 0 {
+		hk.Debt.NoteForce(int32(l.node), last, n, now)
+	}
 }
 
 // ForceAll forces the entire log.
@@ -362,7 +341,9 @@ func (l *Log) Crash() int {
 			l.lastCkpt = l.recs[i].LSN
 		}
 	}
-	l.dbt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
+	if hk := l.hooks(); hk != nil {
+		hk.Debt.NoteCrash(int32(l.node), int64(l.first)+int64(l.forced)-1, lost)
+	}
 	return lost
 }
 
@@ -518,7 +499,9 @@ func (l *Log) DiscardThrough(upto LSN) int {
 			delete(l.firstByTxn, t)
 		}
 	}
-	l.dbt.NoteDiscard(int32(l.node), int64(l.first))
+	if hk := l.hooks(); hk != nil {
+		hk.Debt.NoteDiscard(int32(l.node), int64(l.first))
+	}
 	return drop
 }
 

@@ -39,7 +39,7 @@ type ChaosResult struct {
 	// episode (empty = the protocol survived the whole schedule).
 	Violations []string
 	// Explainer cross-check, populated when a dependency tracker is
-	// attached (db.AttachDeps): Verdicts counts IFA-explainer verdicts
+	// attached (Observers.Deps): Verdicts counts IFA-explainer verdicts
 	// consumed, DoomedVerdicts the survivor verdicts predicting an unlogged
 	// lost update (the no-LBM hazard; structurally impossible under real
 	// protocols), and ExplainMismatches every disagreement between the
@@ -49,7 +49,7 @@ type ChaosResult struct {
 	Verdicts, DoomedVerdicts int
 	ExplainMismatches        []string
 	// Online-auditor census, populated when an auditor is attached
-	// (db.AttachAudit): AuditViolations counts the typed LBM violations the
+	// (Observers.Audit): AuditViolations counts the typed LBM violations the
 	// auditor raised *during* the workload, AuditAnomalies the time-series
 	// watchdog's findings. Auditor/checker disagreements (a violation under
 	// an IFA protocol, or a checker-confirmed lost update the auditor never
@@ -145,7 +145,7 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		// Every flight dump taken during this run (IFA violations above all)
 		// carries the schedule as recorded so far — including the failing
 		// episode's index and derived seed — so the dump is its own repro.
-		if fr := db.FlightRecorder(); fr != nil {
+		if fr := db.Observers().Flight; fr != nil {
 			fr.SetAux("schedule.json", func(w io.Writer) error {
 				return sess.Schedule().WriteJSON(w)
 			})
@@ -251,24 +251,8 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 		// transaction cleanup below is harness bookkeeping, not workload.
 		inj.Disarm()
 
-		// Recovery rightly leaves the survivors' in-flight transactions
-		// alone — that is the point of isolated failure atomicity — but the
-		// interrupted workload's worker goroutines are gone, so nobody will
-		// ever finish them, and under strict 2PL their locks would starve
-		// every later episode. Roll them back; the deferred-logging negative
-		// control cannot (it logged no undo information), so it only sheds
-		// their locks.
-		for _, t := range db.ActiveTxns(machine.NoNode) {
-			nd := t.Node()
-			if !db.M.Alive(nd) {
-				continue
-			}
-			if err := db.Abort(nd, t); err != nil && !db.Cfg.Protocol.DeferredLogging() {
-				return res, fmt.Errorf("workload: chaos episode %d (seed %d) rollback of stranded %v: %w", epOrig, epSpec.Seed, t, err)
-			}
-			for _, name := range db.HeldLocks(t) {
-				_ = db.Locks.Release(nd, t, name)
-			}
+		if err := rollbackStranded(db); err != nil {
+			return res, fmt.Errorf("workload: chaos episode %d (seed %d) %w", epOrig, epSpec.Seed, err)
 		}
 
 		coord := db.M.AliveNodes()[0]
@@ -299,12 +283,43 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 	res.TornForces = st.TornForces
 	res.RecoveryCrashes = st.RecoveryCrashes
 	res.IOErrors = st.IOErrors
-	if a := db.Audit(); a != nil {
+	if a := db.Observers().Audit; a != nil {
 		sum := a.Summary()
 		res.AuditViolations = sum.Violations
 		res.AuditAnomalies = sum.Anomalies
 	}
 	return res, nil
+}
+
+// rollbackStranded finishes the survivors' in-flight transactions. Recovery
+// rightly leaves them alone — that is the point of isolated failure
+// atomicity — but the interrupted workload's worker goroutines are gone, so
+// nobody will ever finish them, and under strict 2PL their locks would
+// starve every later episode. It rolls them back (the deferred-logging
+// negative control cannot: it logged no undo information) and sheds their
+// locks, granted or queued.
+func rollbackStranded(db *recovery.DB) error {
+	for _, t := range db.ActiveTxns(machine.NoNode) {
+		nd := t.Node()
+		if !db.M.Alive(nd) {
+			continue
+		}
+		if err := db.Abort(nd, t); err != nil && !db.Cfg.Protocol.DeferredLogging() {
+			return fmt.Errorf("rollback of stranded %v: %w", t, err)
+		}
+		names := db.HeldLocks(t)
+		if q := db.QueuedLock(t); q != 0 {
+			// A worker stopped while blocked left this request queued, and
+			// a release may since have promoted it: either way a later
+			// release would otherwise hand the lock to a finished
+			// transaction. Release drops a hold or a wait alike.
+			names = append(names, q)
+		}
+		for _, name := range names {
+			_ = db.Locks.Release(nd, t, name)
+		}
+	}
+	return nil
 }
 
 // crossCheckAuditor reconciles the online IFA auditor's typed violations —
@@ -315,7 +330,7 @@ func RunChaosSession(db *recovery.DB, inj *fault.Injector, spec Spec, episodes i
 // without log coverage), the checker the effect (an update actually lost).
 // No-op when no auditor is attached.
 func crossCheckAuditor(db *recovery.DB, violations []string, ep, prev int, res *ChaosResult) int {
-	a := db.Audit()
+	a := db.Observers().Audit
 	if a == nil {
 		return prev
 	}
@@ -359,7 +374,7 @@ func crossCheckAuditor(db *recovery.DB, violations []string, ep, prev int, res *
 // IFA checker's violations. A disagreement in either direction is recorded as
 // an ExplainMismatch. No-op when no tracker is attached.
 func crossCheckExplainer(db *recovery.DB, rep *recovery.RecoveryReport, violations []string, ep int, res *ChaosResult) {
-	tr := db.Deps()
+	tr := db.Observers().Deps
 	if tr == nil {
 		return
 	}

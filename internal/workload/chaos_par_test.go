@@ -24,8 +24,7 @@ func TestChaosParallelRecovery(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 4; seed++ {
-				db := chaosDB(t, proto, 5)
-				db.Cfg.RecoveryWorkers = 4
+				db := chaosDBWorkers(t, proto, 5, 4)
 				attachTracker(db)
 				inj := fault.New(fault.Plan{
 					Seed:              seed,

@@ -3,10 +3,16 @@ package workload
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"smdb/internal/fault"
 	"smdb/internal/machine"
+	"smdb/internal/obs"
+	"smdb/internal/obs/audit"
+	"smdb/internal/obs/debt"
+	"smdb/internal/obs/deps"
 	"smdb/internal/obs/prof"
+	"smdb/internal/obs/waterfall"
 	"smdb/internal/recovery"
 )
 
@@ -25,17 +31,21 @@ func TestChaosProfiledRecovery(t *testing.T) {
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 3; seed++ {
-				db := chaosDB(t, proto, 5)
-				db.Cfg.RecoveryWorkers = 4
-				attachTracker(db)
+				db := chaosDBWorkers(t, proto, 5, 4)
+				o := obs.NewWithCapacity(4096)
 				pair := prof.NewPair(machine.StripeCount)
-				db.AttachProf(pair)
+				set := recovery.Observers{Obs: o, Deps: deps.New(o), Prof: pair}
 				if seed == 2 {
-					// One seed flips the profiler off and on mid-setup so
-					// detach-with-open-sections sees chaos coverage too.
-					db.AttachProf(nil)
-					db.AttachProf(pair)
+					// One seed attaches the whole observer set and flips it
+					// off and on while the run is in progress, so detach with
+					// open profiled sections, in-flight waterfalls, and
+					// half-seen crash episodes gets chaos coverage too.
+					set.Audit = audit.New(audit.Config{})
+					set.Waterfall = waterfall.New(waterfall.Config{Nodes: db.M.Nodes()})
+					set.Debt = debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
+					set.Flight = obs.NewFlightRecorder(t.TempDir(), 16)
 				}
+				db.Attach(set)
 				inj := fault.New(fault.Plan{
 					Seed:              seed,
 					PCrashAtMigration: 0.02,
@@ -46,9 +56,22 @@ func TestChaosProfiledRecovery(t *testing.T) {
 					PIOError:          0.05,
 					MaxCrashes:        2,
 				})
+				stopFlipping := func() {}
+				if seed == 2 {
+					stopFlipping = flipObservers(db, set)
+				}
 				res, err := RunChaos(db, inj, chaosSpec(seed), 3)
+				stopFlipping()
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if seed == 2 {
+					// The flips may have caught every recovery of the run
+					// detached; one more, attached, must be attributed.
+					db.Crash(1)
+					if _, err := db.Recover([]machine.NodeID{1}); err != nil {
+						t.Fatalf("seed %d: attached recovery: %v", seed, err)
+					}
 				}
 				if len(res.Violations) != 0 {
 					t.Errorf("seed %d: IFA violations under %v with profiled recovery:\n%s",
@@ -64,5 +87,29 @@ func TestChaosProfiledRecovery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// flipObservers leaves set attached to db for a while, then detaches and
+// reattaches it, in a loop until the returned stop function is called; stop
+// returns once the loop has exited with the set attached.
+func flipObservers(db *recovery.DB, set recovery.Observers) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			case <-time.After(400 * time.Microsecond):
+			}
+			db.Attach(recovery.Observers{})
+			time.Sleep(100 * time.Microsecond)
+			db.Attach(set)
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
 	}
 }

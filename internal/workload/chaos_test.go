@@ -1,26 +1,36 @@
 package workload
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"smdb/internal/fault"
+	"smdb/internal/heap"
 	"smdb/internal/machine"
 	"smdb/internal/obs"
 	"smdb/internal/obs/audit"
 	"smdb/internal/obs/deps"
 	"smdb/internal/recovery"
+	"smdb/internal/txn"
 )
 
 func chaosDB(t *testing.T, proto recovery.Protocol, nodes int) *recovery.DB {
 	t.Helper()
+	return chaosDBWorkers(t, proto, nodes, 0)
+}
+
+// chaosDBWorkers is chaosDB with a parallel restart fan-out of workers.
+func chaosDBWorkers(t *testing.T, proto recovery.Protocol, nodes, workers int) *recovery.DB {
+	t.Helper()
 	db, err := recovery.New(recovery.Config{
-		Machine:        machine.Config{Nodes: nodes, Lines: 4096},
-		Protocol:       proto,
-		LinesPerPage:   4,
-		RecsPerLine:    4,
-		Pages:          16,
-		LockTableLines: 128,
+		Machine:         machine.Config{Nodes: nodes, Lines: 4096},
+		Protocol:        proto,
+		LinesPerPage:    4,
+		RecsPerLine:     4,
+		Pages:           16,
+		LockTableLines:  128,
+		RecoveryWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,9 +42,8 @@ func chaosDB(t *testing.T, proto recovery.Protocol, nodes int) *recovery.DB {
 // RunChaos's explainer cross-check.
 func attachTracker(db *recovery.DB) *deps.Tracker {
 	o := obs.NewWithCapacity(4096)
-	db.AttachObserver(o)
 	tr := deps.New(o)
-	db.AttachDeps(tr)
+	db.Attach(recovery.Observers{Obs: o, Deps: tr})
 	return tr
 }
 
@@ -43,12 +52,10 @@ func attachTracker(db *recovery.DB) *deps.Tracker {
 // attached: the explainer's reconciliation rules assume an IFA or ablated
 // protocol, while the auditor sweep also covers the baseline.
 func attachAuditor(db *recovery.DB) *audit.Auditor {
-	o := obs.NewWithCapacity(4096)
-	db.AttachObserver(o)
 	a := audit.New(audit.Config{
 		Stable: db.Cfg.Protocol.StableLBM() && db.M.Config().Coherency == machine.WriteInvalidate,
 	})
-	db.AttachAudit(a)
+	db.Attach(recovery.Observers{Obs: obs.NewWithCapacity(4096), Audit: a})
 	return a
 }
 
@@ -395,5 +402,43 @@ func TestAblatedDoomedVerdict(t *testing.T) {
 	if len(mismatches) != 0 {
 		t.Errorf("explainer/checker mismatches under AblatedNoLBM:\n%s",
 			strings.Join(mismatches, "\n"))
+	}
+}
+
+// TestRollbackStrandedReleasesQueuedRequest pins the stranded-waiter leak: a
+// worker stopped while blocked leaves its lock request queued, and rolling
+// back the holder ahead of it promotes that request. The stranded rollback
+// must shed it too, or the finished transaction keeps the lock and every
+// later request for it waits forever.
+func TestRollbackStrandedReleasesQueuedRequest(t *testing.T) {
+	db := chaosDB(t, recovery.VolatileSelectiveRedo, 2)
+	if err := Seed(db, 0); err != nil {
+		t.Fatal(err)
+	}
+	mgr := txn.NewManager(db)
+	rid := heap.RID{Page: 1, Slot: 0}
+	holder, err := mgr.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Write(rid, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := mgr.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waiter.Write(rid, []byte{8}); !errors.Is(err, txn.ErrBlocked) {
+		t.Fatalf("conflicting write = %v, want ErrBlocked", err)
+	}
+	if err := rollbackStranded(db); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Locks.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 0 {
+		t.Errorf("stranded rollback left locks behind: %+v", snap)
 	}
 }

@@ -140,8 +140,8 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 				case errors.Is(err, txn.ErrDeadlock):
 					res.Deadlocks++
 					res.Aborted++
-					if err := tx.Abort(); err != nil && !errors.Is(err, machine.ErrNodeDown) {
-						return res, err
+					if done, err := finish(tx.Abort, stopNow, &res); !done {
+						return res, err // left in flight for recovery
 					}
 					dead = true
 				case errors.Is(err, machine.ErrNodeDown):
@@ -160,39 +160,44 @@ func (r *Runner) runWorker(nd machine.NodeID, stopNow func() bool, opCount *atom
 		if dead {
 			continue
 		}
-		for {
-			var finErr error
-			if willAbort {
-				finErr = tx.Abort()
-			} else {
-				finErr = tx.Commit()
-			}
-			switch {
-			case finErr == nil:
-			case errors.Is(finErr, txn.ErrBlocked), errors.Is(finErr, machine.ErrLineLost):
-				// Same pair as the op loop above: a commit/abort can stall on
-				// the freeze window, or on data a crash destroyed that
-				// recovery has not yet repaired (undo walks read the heap).
-				if stopNow() {
-					return res, nil // left in flight for recovery
-				}
-				res.BlockedRetries++
-				runtime.Gosched()
-				continue
-			case errors.Is(finErr, machine.ErrNodeDown):
-				return res, nil
-			default:
-				return res, finErr
-			}
-			if willAbort {
-				res.Aborted++
-			} else {
-				res.Committed++
-			}
-			break
+		end := tx.Commit
+		if willAbort {
+			end = tx.Abort
+		}
+		if done, err := finish(end, stopNow, &res); !done {
+			return res, err // left in flight for recovery
+		}
+		if willAbort {
+			res.Aborted++
+		} else {
+			res.Committed++
 		}
 	}
 	return res, nil
+}
+
+// finish runs end (a commit or abort), retrying the same pair as the op
+// loop: the freeze window, or data a crash destroyed that recovery has not
+// yet repaired (undo walks read the heap). It reports false when the run
+// stops, the node dies, or end fails outright (with that error).
+func finish(end func() error, stopNow func() bool, res *Result) (bool, error) {
+	for {
+		err := end()
+		switch {
+		case err == nil:
+			return true, nil
+		case errors.Is(err, txn.ErrBlocked), errors.Is(err, machine.ErrLineLost):
+			if stopNow() {
+				return false, nil
+			}
+			res.BlockedRetries++
+			runtime.Gosched()
+		case errors.Is(err, machine.ErrNodeDown):
+			return false, nil
+		default:
+			return false, err
+		}
+	}
 }
 
 // pickRIDWith is pickRID with an explicit PRNG (per-worker).

@@ -20,7 +20,7 @@ func TestChaosReplayDeterministicWithDebt(t *testing.T) {
 	proto := recovery.VolatileSelectiveRedo
 	attach := func(db *recovery.DB) *debt.Tracker {
 		d := debt.New(debt.Config{Nodes: db.M.Nodes(), LinesPerPage: db.Cfg.LinesPerPage})
-		db.AttachDebt(d)
+		db.Attach(recovery.Observers{Debt: d})
 		return d
 	}
 	type accounting struct {

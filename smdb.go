@@ -194,7 +194,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if opts.Observer != nil {
-		eng.AttachObserver(opts.Observer)
+		eng.Attach(recovery.Observers{Obs: opts.Observer})
 	}
 	db := &DB{Engine: eng, mgr: txn.NewManager(eng)}
 	if opts.IndexPages > 0 {
@@ -291,4 +291,4 @@ func (db *DB) Stats() Stats {
 
 // Observer returns the attached observability layer (nil if none was
 // configured).
-func (db *DB) Observer() *obs.Observer { return db.Engine.Observer() }
+func (db *DB) Observer() *obs.Observer { return db.Engine.Observers().Obs }
